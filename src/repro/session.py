@@ -16,7 +16,7 @@ So instead of hand-wiring five objects::
 
     cache = ScheduleCache(default_cache_dir())
     model = LearnedCostModel.load(...) or LearnedCostModel(...)
-    tuner = MCFuserTuner(A100, cache=cache, cost_model=model, seed=3, ...)
+    tuner = MCFuserTuner(A100, cache=cache, cost_model=model, config=config)
     report = tuner.tune(chain)
 
 callers write::

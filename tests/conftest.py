@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.config import SessionConfig
 from repro.gpu import A100, GENERIC, RTX3080, GPUSimulator
 from repro.ir import attention_chain, gemm_chain
 from repro.search import MCFuserTuner
@@ -68,4 +69,9 @@ def ragged_gemm():
 @pytest.fixture
 def quick_tuner(a100):
     """A tuner with a small budget for integration tests."""
-    return MCFuserTuner(a100, population_size=96, top_n=6, max_rounds=4, min_rounds=2, seed=0)
+    return MCFuserTuner(
+        a100,
+        config=SessionConfig.make(
+            population_size=96, top_n=6, max_rounds=4, min_rounds=2, seed=0
+        ),
+    )

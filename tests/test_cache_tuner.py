@@ -6,6 +6,7 @@ import pytest
 from repro.cache import ScheduleCache
 from repro.cli import main
 from repro.codegen.interpreter import execute_schedule
+from repro.config import SessionConfig
 from repro.frontend.executor import compile_model
 from repro.frontend.partition import partition_graph
 from repro.gpu.specs import A100
@@ -18,7 +19,9 @@ QUICK = dict(population_size=64, top_n=4, max_rounds=2, min_rounds=1)
 
 
 def quick_tuner(cache=None, variant="mcfuser"):
-    return MCFuserTuner(A100, variant=variant, seed=0, cache=cache, **QUICK)
+    return MCFuserTuner(
+        A100, cache=cache, config=SessionConfig.make(variant=variant, seed=0, **QUICK)
+    )
 
 
 def make_chain():
@@ -140,8 +143,14 @@ class TestExecutorCache:
     def test_recompile_hits_cache(self, tmp_path):
         graph = _tiny_attention_graph()
         cache = ScheduleCache(tmp_path)
-        cold = compile_model(graph, A100, "mcfuser+relay", tuner_kwargs=QUICK, cache=cache)
-        warm = compile_model(graph, A100, "mcfuser+relay", tuner_kwargs=QUICK, cache=cache)
+        cold = compile_model(
+            graph, A100, "mcfuser+relay", cache=cache,
+            config=SessionConfig.make(**QUICK),
+        )
+        warm = compile_model(
+            graph, A100, "mcfuser+relay", cache=cache,
+            config=SessionConfig.make(**QUICK),
+        )
         assert cold.detail["cache_hits"] == 0
         assert warm.detail["cache_hits"] == warm.mbci_subgraphs == 1
         assert warm.tuning_seconds < cold.tuning_seconds
@@ -153,7 +162,10 @@ class TestExecutorCache:
         partition = partition_graph(graph, A100)
         cached, uncached = partition.cache_split(cache, A100)
         assert not cached and len(uncached) == 1
-        compile_model(graph, A100, "mcfuser+relay", tuner_kwargs=QUICK, cache=cache)
+        compile_model(
+            graph, A100, "mcfuser+relay", cache=cache,
+            config=SessionConfig.make(**QUICK),
+        )
         cached, uncached = partition.cache_split(cache, A100)
         assert len(cached) == 1 and not uncached
 

@@ -34,6 +34,7 @@ from repro.codegen.interpreter import (
 from repro.codegen.program import LoweringError, lower_schedule
 from repro.codegen.render_c import RenderError, render_program, schedule_renderable
 from repro.codegen.runtime import compile_schedule
+from repro.config import SessionConfig
 from repro.frontend.partition import partition_graph
 from repro.gpu.specs import A100
 from repro.ir.chain import attention_chain, gemm3_chain, gemm_chain
@@ -245,8 +246,11 @@ class TestBucketCeilingSchedules:
         from repro.search.tuner import MCFuserTuner
 
         tuner = MCFuserTuner(
-            A100, dynamic="buckets", cache=ScheduleCache(path=None),
-            population_size=64, top_n=4, max_rounds=2, min_rounds=1, seed=0,
+            A100, cache=ScheduleCache(path=None),
+            config=SessionConfig.make(
+                dynamic="buckets", population_size=64, top_n=4, max_rounds=2,
+                min_rounds=1, seed=0,
+            ),
         )
         report = tuner.tune(gemm_chain(1, 101, 64, 32, 48, name="cp-ceil-tune"))
         schedule = report.best_schedule

@@ -22,6 +22,7 @@ from repro.cache.signature import (
     workload_signature,
 )
 from repro.codegen.interpreter import execute_schedule
+from repro.config import SessionConfig
 from repro.gpu.specs import A100, RTX3080
 from repro.ir.chain import attention_chain, gemm_chain
 from repro.search.tuner import MCFuserTuner, VerificationError, rebind_report
@@ -47,9 +48,11 @@ def ragged(m: int, name: str | None = None):
     return gemm_chain(1, m, 96, 32, 32, name=name or f"dyn-{m}")
 
 
-def quick_tuner(**kwargs) -> MCFuserTuner:
-    kwargs.setdefault("seed", 0)
-    return MCFuserTuner(A100, dynamic="buckets", **QUICK, **kwargs)
+def quick_tuner(cache=None, **knobs) -> MCFuserTuner:
+    knobs.setdefault("seed", 0)
+    return MCFuserTuner(
+        A100, cache=cache, config=SessionConfig.make(dynamic="buckets", **QUICK, **knobs)
+    )
 
 
 def outcome_sum(registry: MetricsRegistry) -> int:
@@ -175,7 +178,9 @@ class TestTunerLadder:
     def test_exact_hit_preferred_over_bucket(self):
         cache = ScheduleCache(path=None)
         tuner = quick_tuner(cache=cache)
-        plain = MCFuserTuner(A100, cache=cache, seed=0, **QUICK)
+        plain = MCFuserTuner(
+            A100, cache=cache, config=SessionConfig.make(seed=0, **QUICK)
+        )
         chain = ragged(300)
         plain.tune(chain)  # stores under the exact key
         report = tuner.tune(chain)
@@ -203,14 +208,16 @@ class TestTunerLadder:
 
     def test_dynamic_off_unchanged(self):
         cache = ScheduleCache(path=None)
-        tuner = MCFuserTuner(A100, cache=cache, seed=0, **QUICK)
+        tuner = MCFuserTuner(
+            A100, cache=cache, config=SessionConfig.make(seed=0, **QUICK)
+        )
         report = tuner.tune(ragged(300))
         assert report.dynamic == "off" and report.bucket == {}
         assert cache.lookup(bucketed_signature(ragged(300), A100))[0] is None
 
     def test_unknown_dynamic_mode_rejected(self):
         with pytest.raises(ValueError, match="dynamic"):
-            MCFuserTuner(A100, dynamic="padding")
+            MCFuserTuner(A100, config=SessionConfig.make(dynamic="padding"))
 
     def test_rebind_report_roundtrip(self):
         tuner = quick_tuner(cache=ScheduleCache(path=None))
@@ -258,8 +265,8 @@ class TestServiceBuckets:
     def test_bucket_hit_served_warm(self):
         registry = MetricsRegistry()
         with CompileService(
-            A100, workers=1, dynamic="buckets", telemetry=registry,
-            tuner_kwargs=QUICK,
+            A100, telemetry=registry,
+            config=SessionConfig.make(serve_workers=1, dynamic="buckets", **QUICK),
         ) as svc:
             cold = svc.compile(ragged(300))
             warm = svc.compile(ragged(400))
@@ -276,10 +283,13 @@ class TestServiceBuckets:
         """Entries written under exact keys (e.g. by a pre-bucketing
         deployment sharing the cache) win the first ladder rung."""
         tiered = TieredCache()
-        with CompileService(A100, workers=1, tuner_kwargs=QUICK, cache=tiered) as off:
+        with CompileService(
+            A100, cache=tiered, config=SessionConfig.make(serve_workers=1, **QUICK)
+        ) as off:
             off.compile(ragged(300))
         with CompileService(
-            A100, workers=1, dynamic="buckets", tuner_kwargs=QUICK, cache=tiered
+            A100, cache=tiered,
+            config=SessionConfig.make(serve_workers=1, dynamic="buckets", **QUICK),
         ) as svc:
             again = svc.compile(ragged(300))
         assert again.source == "hot"
@@ -290,7 +300,7 @@ class TestServiceBuckets:
         even an exact-shape repeat is labelled a bucket hit (and is still
         hot-tier fast)."""
         with CompileService(
-            A100, workers=1, dynamic="buckets", tuner_kwargs=QUICK
+            A100, config=SessionConfig.make(serve_workers=1, dynamic="buckets", **QUICK)
         ) as svc:
             svc.compile(ragged(300))
             again = svc.compile(ragged(300))
@@ -304,8 +314,8 @@ class TestServiceBuckets:
         lengths = (270, 300, 400, 511)
         registry = MetricsRegistry()
         with CompileService(
-            A100, workers=1, dynamic="buckets", telemetry=registry,
-            tuner_kwargs=QUICK,
+            A100, telemetry=registry,
+            config=SessionConfig.make(serve_workers=1, dynamic="buckets", **QUICK),
         ) as svc:
             # submits are microseconds, the ceiling tune is seconds: all
             # four land while the first job is still in flight
@@ -326,7 +336,7 @@ class TestServiceBuckets:
 
     def test_attention_chains_bucket_both_seq_dims(self):
         with CompileService(
-            A100, workers=1, dynamic="buckets", tuner_kwargs=QUICK
+            A100, config=SessionConfig.make(serve_workers=1, dynamic="buckets", **QUICK)
         ) as svc:
             cold = svc.compile(attention_chain(2, 100, 100, 32, 32, name="at-100"))
             warm = svc.compile(attention_chain(2, 90, 90, 32, 32, name="at-90"))
@@ -336,7 +346,7 @@ class TestServiceBuckets:
 
     def test_dynamic_mode_validated(self):
         with pytest.raises(ValueError, match="dynamic"):
-            CompileService(A100, dynamic="padding")
+            CompileService(A100, config=SessionConfig.make(dynamic="padding"))
 
 
 class TestCompileModelBuckets:
@@ -349,12 +359,12 @@ class TestCompileModelBuckets:
 
         cache = ScheduleCache(path=None)
         compile_model(
-            ffn_block(seq=100, hidden=64, inner=96), A100,
-            dynamic="buckets", cache=cache, tuner_kwargs=QUICK,
+            ffn_block(seq=100, hidden=64, inner=96), A100, cache=cache,
+            config=SessionConfig.make(dynamic="buckets", **QUICK),
         )
         rerun = compile_model(
-            ffn_block(seq=120, hidden=64, inner=96), A100,
-            dynamic="buckets", cache=cache, tuner_kwargs=QUICK,
+            ffn_block(seq=120, hidden=64, inner=96), A100, cache=cache,
+            config=SessionConfig.make(dynamic="buckets", **QUICK),
         )
         assert rerun.detail["served"].get("bucket", 0) >= 1
         # the recompiled module still computes the right numbers at seq=120
@@ -368,12 +378,19 @@ class TestCompileModelBuckets:
     def test_service_mode_mismatch_rejected(self):
         from repro.frontend.executor import compile_model
 
-        with CompileService(A100, workers=1, tuner_kwargs=QUICK) as svc:
+        with CompileService(
+            A100, config=SessionConfig.make(serve_workers=1, **QUICK)
+        ) as svc:
             with pytest.raises(ValueError, match="dynamic"):
-                compile_model("ffn-narrow", A100, service=svc, dynamic="buckets")
+                compile_model(
+                    "ffn-narrow", A100, service=svc,
+                    config=SessionConfig.make(dynamic="buckets"),
+                )
 
     def test_unknown_dynamic_rejected(self):
         from repro.frontend.executor import compile_model
 
         with pytest.raises(ValueError, match="dynamic"):
-            compile_model("ffn-narrow", A100, dynamic="padded")
+            compile_model(
+                "ffn-narrow", A100, config=SessionConfig.make(dynamic="padded")
+            )

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.config import SessionConfig
 from repro.search.engine.evaluator import ParallelEvaluator, batch_makespan
 from repro.search.tuning_cost import COSTS, TuningClock
 
@@ -245,8 +246,12 @@ class TestTunerIntegration:
         from repro.search.tuner import MCFuserTuner
 
         chain = gemm_chain(1, 256, 256, 64, 64, name="eval-int")
-        serial = MCFuserTuner(A100, seed=0, workers=1).tune(chain)
-        parallel = MCFuserTuner(A100, seed=0, workers=4).tune(chain)
+        serial = MCFuserTuner(
+            A100, config=SessionConfig.make(seed=0, workers=1)
+        ).tune(chain)
+        parallel = MCFuserTuner(
+            A100, config=SessionConfig.make(seed=0, workers=4)
+        ).tune(chain)
         assert serial.best_candidate.key == parallel.best_candidate.key
         assert serial.best_time == parallel.best_time
         assert serial.search.num_measurements == parallel.search.num_measurements

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import SessionConfig
 from repro.gpu.specs import A100
 from repro.ir.chain import gemm_chain
 from repro.search.engine import pipeline as pipeline_mod
@@ -125,7 +126,7 @@ class TestSingleBuild:
 
     def test_schedules_built_once_per_candidate(self, counters):
         chain = gemm_chain(1, 256, 256, 64, 64, name="onebuild")
-        report = MCFuserTuner(A100, seed=0).tune(chain)
+        report = MCFuserTuner(A100, config=SessionConfig.make(seed=0)).tune(chain)
         enumerated = counters["pipeline"]
         # Validation enumerates more points than survive Rule 4.
         assert enumerated >= report.pruning.after_rule3

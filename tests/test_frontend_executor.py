@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import SessionConfig
 from repro.frontend.executor import STRATEGIES, compile_model
 from repro.frontend.models import bert_encoder
 from repro.gpu.specs import A100
@@ -17,7 +18,9 @@ def graph():
 @pytest.fixture(scope="module")
 def results(graph):
     return {
-        s: compile_model(graph, A100, s, seed=0, tuner_kwargs=FAST_TUNER)
+        s: compile_model(
+            graph, A100, s, config=SessionConfig.make(seed=0, **FAST_TUNER)
+        )
         for s in STRATEGIES
     }
 
@@ -68,9 +71,13 @@ class TestHeadlineOrdering:
 
 class TestSubgraphCaching:
     def test_identical_layers_tuned_once(self, graph):
-        r = compile_model(graph, A100, "mcfuser+relay", seed=0, tuner_kwargs=FAST_TUNER)
+        r = compile_model(
+            graph, A100, "mcfuser+relay",
+            config=SessionConfig.make(seed=0, **FAST_TUNER),
+        )
         # 4 identical attention layers: tuning cost ~ one MCFuser run, not four.
         single = compile_model(
-            bert_encoder("Bert-Small", 256), A100, "relay", seed=0
+            bert_encoder("Bert-Small", 256), A100, "relay",
+            config=SessionConfig.make(seed=0),
         ).tuning_seconds
         assert r.tuning_seconds - single < 120

@@ -11,6 +11,7 @@ from repro import (
     gemm_chain,
 )
 from repro.codegen.runtime import OperatorModule
+from repro.config import SessionConfig
 from repro.frontend.models import bert_encoder
 from repro.frontend.partition import partition_graph
 
@@ -19,7 +20,10 @@ class TestTuneCompileRun:
     def test_gemm_chain_pipeline(self):
         chain = gemm_chain(2, 128, 128, 64, 64, name="int-g")
         report = MCFuserTuner(
-            A100, population_size=96, top_n=6, max_rounds=3, min_rounds=2, seed=0
+            A100,
+            config=SessionConfig.make(
+                population_size=96, top_n=6, max_rounds=3, min_rounds=2, seed=0
+            ),
         ).tune(chain)
         module = compile_schedule(report.best_schedule, A100)
         inputs = chain.random_inputs(0)
@@ -31,7 +35,10 @@ class TestTuneCompileRun:
     def test_attention_pipeline(self):
         chain = attention_chain(4, 128, 128, 32, 32, name="int-a")
         report = MCFuserTuner(
-            A100, population_size=96, top_n=6, max_rounds=3, min_rounds=2, seed=0
+            A100,
+            config=SessionConfig.make(
+                population_size=96, top_n=6, max_rounds=3, min_rounds=2, seed=0
+            ),
         ).tune(chain)
         module = compile_schedule(report.best_schedule, A100)
         inputs = chain.random_inputs(0)
@@ -45,7 +52,10 @@ class TestTuneCompileRun:
 
         chain = gemm_chain(1, 128, 128, 64, 64, name="int-art")
         report = MCFuserTuner(
-            A100, population_size=64, top_n=4, max_rounds=2, min_rounds=1, seed=0
+            A100,
+            config=SessionConfig.make(
+                population_size=64, top_n=4, max_rounds=2, min_rounds=1, seed=0
+            ),
         ).tune(chain)
         module = OperatorModule(schedule=report.best_schedule, gpu=A100)
         tir = tir_from_schedule(report.best_schedule)
@@ -74,7 +84,10 @@ class TestFusedSubgraphMatchesGraphExecution:
         np.testing.assert_allclose(fused_ref, env[sg.output], rtol=1e-4, atol=1e-5)
 
         report = MCFuserTuner(
-            A100, population_size=64, top_n=4, max_rounds=2, min_rounds=1, seed=0
+            A100,
+            config=SessionConfig.make(
+                population_size=64, top_n=4, max_rounds=2, min_rounds=1, seed=0
+            ),
         ).tune(chain)
         fused_out = compile_schedule(report.best_schedule, A100).run(inputs)[chain.output]
         np.testing.assert_allclose(fused_out, env[sg.output], rtol=1e-3, atol=1e-5)

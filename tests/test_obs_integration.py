@@ -9,6 +9,7 @@ import pytest
 
 from repro.cache.cache import ScheduleCache
 from repro.codegen.interpreter import execute_schedule, explain_exec_backend
+from repro.config import SessionConfig
 from repro.obs import (
     enable_tracing,
     get_metrics,
@@ -35,7 +36,7 @@ def _spans_by_name(tracer):
 class TestTracedTune:
     def test_span_taxonomy_nesting_and_coverage(self, a100, small_gemm):
         tracer = enable_tracing()
-        MCFuserTuner(a100, seed=0, **QUICK).tune(small_gemm)
+        MCFuserTuner(a100, config=SessionConfig.make(seed=0, **QUICK)).tune(small_gemm)
         spans = _spans_by_name(tracer)
         for name in ("tune", "tune.space", "search", "search.round",
                      "measure.batch", "measure.candidate", "tune.finalize"):
@@ -63,7 +64,9 @@ class TestTracedTune:
 
     def test_traced_tune_chrome_export_is_valid(self, a100, small_gemm, tmp_path):
         tracer = enable_tracing()
-        MCFuserTuner(a100, seed=0, workers=2, **QUICK).tune(small_gemm)
+        MCFuserTuner(
+            a100, config=SessionConfig.make(seed=0, workers=2, **QUICK)
+        ).tune(small_gemm)
         path = save_chrome_trace(tracer.recorder, tmp_path / "tune.json")
         import json
 
@@ -74,7 +77,9 @@ class TestTracedTune:
 
     def test_pool_measurement_spans_join_the_trace(self, a100, small_gemm):
         tracer = enable_tracing()
-        MCFuserTuner(a100, seed=0, workers=4, **QUICK).tune(small_gemm)
+        MCFuserTuner(
+            a100, config=SessionConfig.make(seed=0, workers=4, **QUICK)
+        ).tune(small_gemm)
         spans = _spans_by_name(tracer)
         [tune] = spans["tune"]
         candidates = spans["measure.candidate"]
@@ -84,9 +89,13 @@ class TestTracedTune:
 
     def test_cache_hit_outcome(self, a100, small_gemm):
         cache = ScheduleCache(path=None)
-        MCFuserTuner(a100, seed=0, cache=cache, **QUICK).tune(small_gemm)
+        MCFuserTuner(
+            a100, cache=cache, config=SessionConfig.make(seed=0, **QUICK)
+        ).tune(small_gemm)
         tracer = enable_tracing()
-        MCFuserTuner(a100, seed=0, cache=cache, **QUICK).tune(small_gemm)
+        MCFuserTuner(
+            a100, cache=cache, config=SessionConfig.make(seed=0, **QUICK)
+        ).tune(small_gemm)
         spans = _spans_by_name(tracer)
         [tune] = spans["tune"]
         assert tune.attrs["outcome"] == "cache-hit"
@@ -95,7 +104,7 @@ class TestTracedTune:
 
     def test_untraced_tune_records_nothing(self, a100, small_gemm):
         assert not get_tracer().enabled
-        MCFuserTuner(a100, seed=0, **QUICK).tune(small_gemm)
+        MCFuserTuner(a100, config=SessionConfig.make(seed=0, **QUICK)).tune(small_gemm)
         assert len(get_tracer().recorder) == 0
 
 
@@ -104,7 +113,9 @@ class TestTracedService:
         from repro.serving.service import CompileService
 
         tracer = enable_tracing()
-        with CompileService(a100, workers=1, tuner_kwargs=QUICK) as svc:
+        with CompileService(
+            a100, config=SessionConfig.make(serve_workers=1, **QUICK)
+        ) as svc:
             svc.compile(small_gemm)
             svc.compile(small_gemm)
         spans = _spans_by_name(tracer)
@@ -136,7 +147,9 @@ class TestTracedService:
             raise RuntimeError("tune exploded")
 
         tracer = enable_tracing()
-        with CompileService(a100, workers=1, tune_fn=slow_fail) as svc:
+        with CompileService(
+            a100, tune_fn=slow_fail, config=SessionConfig.make(serve_workers=1)
+        ) as svc:
             first = svc.submit(small_gemm)
             import time
 
@@ -268,8 +281,7 @@ class TestCompileModelDetail:
             128,
         )
         result = compile_model(
-            graph, a100, "mcfuser+relay", seed=0,
-            tuner_kwargs=QUICK,
+            graph, a100, "mcfuser+relay", config=SessionConfig.make(seed=0, **QUICK)
         )
         assert result.mbci_subgraphs > 0
         fallbacks = result.detail["fallbacks"]
@@ -290,7 +302,9 @@ class TestCompileModelDetail:
             BertConfig("Bert-Tiny", layers=1, hidden=256, heads=4, intermediate=512),
             128,
         )
-        compile_model(graph, a100, "mcfuser+relay", seed=0, tuner_kwargs=QUICK)
+        compile_model(
+            graph, a100, "mcfuser+relay", config=SessionConfig.make(seed=0, **QUICK)
+        )
         spans = _spans_by_name(tracer)
         for name in ("compile.model", "partition", "tune", "execute.model",
                      "compile.schedule"):

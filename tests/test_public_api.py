@@ -20,7 +20,10 @@ class TestReadmeQuickstart:
         assert chain.is_mbci(repro.A100)
 
         tuner = repro.MCFuserTuner(
-            repro.A100, population_size=64, top_n=4, max_rounds=2, min_rounds=1
+            repro.A100,
+            config=repro.SessionConfig.make(
+                population_size=64, top_n=4, max_rounds=2, min_rounds=1
+            ),
         )
         report = tuner.tune(chain)
         assert report.best_time > 0

@@ -8,6 +8,7 @@ import pytest
 
 from repro.cache import ScheduleCache
 from repro.cli import main
+from repro.config import SessionConfig
 from repro.frontend.executor import compile_model
 from repro.gpu.specs import A100, RTX3080
 from repro.ir.chain import gemm_chain
@@ -40,9 +41,11 @@ def chain_for(i: int):
     return gemm_chain(1, 96 + 16 * i, 96, 32, 32, name=f"svc-{i}")
 
 
-def quick_service(**kwargs) -> CompileService:
-    kwargs.setdefault("tuner_kwargs", QUICK)
-    return CompileService(A100, **kwargs)
+def quick_service(cache=None, telemetry=None, tune_fn=None, **knobs) -> CompileService:
+    return CompileService(
+        A100, cache=cache, telemetry=telemetry, tune_fn=tune_fn,
+        config=SessionConfig.make(**QUICK, **knobs),
+    )
 
 
 def outcome_sum(registry: MetricsRegistry) -> int:
@@ -52,7 +55,7 @@ def outcome_sum(registry: MetricsRegistry) -> int:
 
 class TestBasics:
     def test_cold_then_hot(self):
-        with quick_service(workers=1) as svc:
+        with quick_service(serve_workers=1) as svc:
             cold = svc.compile(chain_for(0))
             warm = svc.compile(chain_for(0))
         assert cold.source == "tuned" and not cold.report.cache_hit
@@ -61,24 +64,24 @@ class TestBasics:
         assert warm.latency_seconds < cold.latency_seconds
 
     def test_registry_names_resolve(self):
-        with quick_service(workers=1) as svc:
+        with quick_service(serve_workers=1) as svc:
             result = svc.compile("G1")
         assert result.report.best_time > 0
 
     def test_model_name_rejected_by_submit(self):
-        with quick_service(workers=1) as svc:
+        with quick_service(serve_workers=1) as svc:
             with pytest.raises(ValueError, match="model-level"):
                 svc.submit("ffn-base")
             with pytest.raises(ValueError, match="chain-level"):
                 svc.submit_model("G1")
 
     def test_unknown_lane_rejected(self):
-        with quick_service(workers=1) as svc:
+        with quick_service(serve_workers=1) as svc:
             with pytest.raises(ValueError, match="lane"):
                 svc.submit(chain_for(0), lane="express")
 
     def test_closed_service_rejects_submits(self):
-        svc = quick_service(workers=1)
+        svc = quick_service(serve_workers=1)
         svc.close()
         svc.close()  # idempotent
         with pytest.raises(ServiceClosed):
@@ -86,10 +89,10 @@ class TestBasics:
 
     def test_shared_schedule_cache_serves_disk_tier(self, tmp_path):
         base_dir = tmp_path / "store"
-        with quick_service(workers=1, cache=ScheduleCache(base_dir)) as svc:
+        with quick_service(serve_workers=1, cache=ScheduleCache(base_dir)) as svc:
             svc.compile(chain_for(0))
         # a second service over the same directory = a later process
-        with quick_service(workers=1, cache=ScheduleCache(base_dir)) as svc2:
+        with quick_service(serve_workers=1, cache=ScheduleCache(base_dir)) as svc2:
             result = svc2.compile(chain_for(0))
         assert result.source == "disk"
         assert result.report.cache_hit
@@ -104,7 +107,7 @@ class TestCoalescing:
             release.wait(5)
             return holder["svc"]._default_tune(job)
 
-        svc = quick_service(workers=1, tune_fn=gated)
+        svc = quick_service(serve_workers=1, tune_fn=gated)
         holder["svc"] = svc
 
         barrier = threading.Barrier(8 + 1)
@@ -135,7 +138,7 @@ class TestCoalescing:
 
 
 class TestLanesAndShedding:
-    def _gated_service(self, **kwargs):
+    def _gated_service(self, **knobs):
         """workers=1 service whose first tune blocks until `release` is set."""
         release = threading.Event()
         order: list[str] = []
@@ -147,7 +150,7 @@ class TestLanesAndShedding:
                 release.wait(5)
             return svc["svc"]._default_tune(job)
 
-        svc["svc"] = quick_service(workers=1, tune_fn=tune, **kwargs)
+        svc["svc"] = quick_service(serve_workers=1, tune_fn=tune, **knobs)
         return svc["svc"], release, order
 
     def _wait_queue_drained(self, svc):
@@ -197,7 +200,7 @@ class TestLanesAndShedding:
                 raise RuntimeError("transient tuner failure")
             return svc["svc"]._default_tune(job)
 
-        svc["svc"] = quick_service(workers=1, tune_fn=flaky)
+        svc["svc"] = quick_service(serve_workers=1, tune_fn=flaky)
         ticket = svc["svc"].submit(chain_for(3))
         with pytest.raises(RuntimeError, match="transient"):
             ticket.result(timeout=10)
@@ -216,7 +219,7 @@ class TestStress:
         n_clients, n_signatures, per_client = 16, 4, 6
         chains = [chain_for(10 + i) for i in range(n_signatures)]
         registry = MetricsRegistry()
-        svc = quick_service(workers=4, telemetry=registry)
+        svc = quick_service(serve_workers=4, telemetry=registry)
         barrier = threading.Barrier(n_clients)
         results: list[list] = [[] for _ in range(n_clients)]
         snapshots: list[dict] = []
@@ -269,7 +272,7 @@ class TestStress:
 
     def test_queue_gauges_return_to_zero(self):
         registry = MetricsRegistry()
-        with quick_service(workers=2, telemetry=registry) as svc:
+        with quick_service(serve_workers=2, telemetry=registry) as svc:
             tickets = [svc.submit(chain_for(20 + i)) for i in range(3)]
             for t in tickets:
                 t.result(timeout=30)
@@ -281,7 +284,7 @@ class TestStress:
 class TestPrefetchAndModels:
     def test_prefetch_warms_background_lane(self):
         registry = MetricsRegistry()
-        with quick_service(workers=2, telemetry=registry) as svc:
+        with quick_service(serve_workers=2, telemetry=registry) as svc:
             tickets = svc.prefetch(["G1", "S1"])
             for t in tickets:
                 assert t.lane == "background"
@@ -293,7 +296,7 @@ class TestPrefetchAndModels:
         assert counters["serve.requests.interactive"] == 1
 
     def test_prefetch_expands_model_workloads(self):
-        with quick_service(workers=2) as svc:
+        with quick_service(serve_workers=2) as svc:
             tickets = svc.prefetch(["ffn-base"])
             assert tickets  # one per fusion group
             for t in tickets:
@@ -301,7 +304,7 @@ class TestPrefetchAndModels:
 
     def test_submit_model_ticket(self):
         graph = _tiny_attention_graph()
-        with quick_service(workers=2) as svc:
+        with quick_service(serve_workers=2) as svc:
             ticket = svc.submit_model(graph)
             results = ticket.results(timeout=60)
             assert ticket.done()
@@ -310,11 +313,15 @@ class TestPrefetchAndModels:
 
     def test_compile_model_through_service(self):
         graph = _tiny_attention_graph()
-        with quick_service(workers=2) as svc:
-            cold = compile_model(graph, A100, "mcfuser+relay", service=svc,
-                                 tuner_kwargs=QUICK)
-            warm = compile_model(graph, A100, "mcfuser+relay", service=svc,
-                                 tuner_kwargs=QUICK)
+        with quick_service(serve_workers=2) as svc:
+            cold = compile_model(
+                graph, A100, "mcfuser+relay", service=svc,
+                config=SessionConfig.make(**QUICK),
+            )
+            warm = compile_model(
+                graph, A100, "mcfuser+relay", service=svc,
+                config=SessionConfig.make(**QUICK),
+            )
         assert cold.detail["served"] == {"tuned": 1}
         assert warm.detail["served"] == {"hot": 1}
         assert warm.detail["cache_hits"] == 1
@@ -323,7 +330,7 @@ class TestPrefetchAndModels:
 
     def test_compile_model_rejects_gpu_mismatch(self):
         graph = _tiny_attention_graph()
-        with quick_service(workers=1) as svc:
+        with quick_service(serve_workers=1) as svc:
             with pytest.raises(ValueError, match="one service serves one GPU"):
                 compile_model(graph, RTX3080, "mcfuser+relay", service=svc)
 
@@ -384,4 +391,4 @@ class TestExecBackend:
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
-            CompileService(A100, exec_backend="cuda")
+            CompileService(A100, config=SessionConfig.make(exec_backend="cuda"))

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cache import ScheduleCache
 from repro.cache.store import CacheEntry
+from repro.config import SessionConfig
 from repro.gpu.specs import A100
 from repro.ir.chain import gemm_chain
 from repro.search.tuner import MCFuserTuner
@@ -92,7 +93,9 @@ class TestTieredCache:
         cache_dir = tmp_path_factory.mktemp("tiered")
         base = ScheduleCache(cache_dir)
         chain = gemm_chain(1, 128, 128, 64, 64, name="tiered-g")
-        MCFuserTuner(A100, seed=0, cache=base, **QUICK).tune(chain)
+        MCFuserTuner(
+            A100, cache=base, config=SessionConfig.make(seed=0, **QUICK)
+        ).tune(chain)
         return cache_dir, chain
 
     def test_lookup_tier_progression(self, warmed):
@@ -146,7 +149,9 @@ class TestTieredCache:
         base = ScheduleCache(tmp_path)
         tiered = TieredCache(base)
         chain = gemm_chain(1, 96, 96, 32, 32, name="wt")
-        report = MCFuserTuner(A100, seed=0, **QUICK).tune(chain)
+        report = MCFuserTuner(
+            A100, config=SessionConfig.make(seed=0, **QUICK)
+        ).tune(chain)
         entry = tiered.put(chain, A100, report)
         assert entry is not None
         assert tiered.lookup(entry.signature)[1] == "hot"
@@ -169,7 +174,9 @@ class TestTieredCache:
     def test_stats_and_clear(self, tmp_path):
         tiered = TieredCache(ScheduleCache(tmp_path))
         chain = gemm_chain(1, 96, 80, 32, 32, name="st")
-        report = MCFuserTuner(A100, seed=0, **QUICK).tune(chain)
+        report = MCFuserTuner(
+            A100, config=SessionConfig.make(seed=0, **QUICK)
+        ).tune(chain)
         tiered.put(chain, A100, report)
         stats = tiered.stats()
         assert stats["hot_entries"] == 1 and stats["disk_entries"] == 1

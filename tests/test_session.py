@@ -1,14 +1,17 @@
 """Tests for the Session layer: lazy resource ownership, config plumbing,
-behavioral parity with hand-wired tuners, and the one-warning deprecation
-contract of every shimmed entry point."""
+behavioral parity with hand-wired tuners, and the config-only contract of
+every entry point (the old keyword knobs raise TypeError)."""
 
 import warnings
 
 import pytest
 
+from repro.baselines.chimera import MCFuserChimeraBaseline
+from repro.baselines.mcfuser import MCFuserBaseline
 from repro.cache.batch import BatchTuner
 from repro.cache.cache import ScheduleCache
 from repro.config import SessionConfig
+from repro.experiments import serve_load
 from repro.frontend.executor import compile_model
 from repro.frontend.models import bert_encoder
 from repro.gpu.specs import A100, by_name
@@ -146,54 +149,77 @@ class TestWork:
             disable_tracing()
 
 
+#: Every keyword the removed knob shims accepted, per entry point. Each
+#: duplicated a SessionConfig field. ``population_size`` stands for the
+#: dropped ``**tuner_kwargs`` catch-alls.
+REMOVED_KEYWORDS = {
+    "MCFuserTuner": (
+        "variant", "population_size", "top_n", "epsilon", "max_rounds",
+        "min_rounds", "seed", "strategy", "workers", "exec_backend", "verify",
+        "measure_topk", "dynamic", "dynamic_loops",
+    ),
+    "BatchTuner": ("variant", "seed", "strategy", "measure_workers", "population_size"),
+    "CompileService": (
+        "workers", "queue_limit", "seed", "exec_backend", "tuner_kwargs",
+        "measure_topk", "dynamic", "dynamic_loops",
+    ),
+    "CompileService.submit": (
+        "variant", "strategy", "seed", "measure_workers", "tuner_kwargs",
+        "measure_topk",
+    ),
+    "CompileService.submit_model": ("strategy", "tuner_kwargs"),
+    "CompileService.prefetch": ("strategy", "tuner_kwargs"),
+    "compile_model": (
+        "seed", "tuner_kwargs", "search_strategy", "search_workers",
+        "exec_backend", "measure_topk", "dynamic", "dynamic_loops",
+    ),
+    "serve_load.run": ("seed", "service_workers", "tuner_kwargs", "dynamic"),
+    "MCFuserBaseline": ("population_size",),
+    "MCFuserChimeraBaseline": ("population_size",),
+}
+
+
+def _call_with(entry: str, keyword: str) -> None:
+    kw = {keyword: None}
+    if entry.startswith("CompileService."):
+        with CompileService(A100, config=quick_config()) as service:
+            getattr(service, entry.partition(".")[2])("G1", **kw)
+        return
+    calls = {
+        "MCFuserTuner": lambda: MCFuserTuner(A100, **kw),
+        "BatchTuner": lambda: BatchTuner(A100, **kw),
+        "CompileService": lambda: CompileService(A100, **kw),
+        "compile_model": lambda: compile_model("bert-small", A100, "relay", **kw),
+        "serve_load.run": lambda: serve_load.run(**kw),
+        "MCFuserBaseline": lambda: MCFuserBaseline(**kw),
+        "MCFuserChimeraBaseline": lambda: MCFuserChimeraBaseline(**kw),
+    }
+    calls[entry]()
+
+
 class TestDeprecationShims:
-    """Every shimmed entry point warns exactly once, is behavior-identical,
-    and stays silent when no legacy knob is passed."""
+    """The keyword knob shims are gone: every entry point is configured
+    through ``config=`` alone, an old keyword raises :class:`TypeError`,
+    and the config path emits no DeprecationWarning."""
 
-    def _warnings(self):
-        ctx = warnings.catch_warnings(record=True)
-        rec = ctx.__enter__()
-        warnings.simplefilter("always")
-        return ctx, rec
-
-    def test_tuner_warns_exactly_once(self, chain):
-        with pytest.warns(DeprecationWarning, match="search.seed") as record:
-            MCFuserTuner(A100, seed=3, max_rounds=2, min_rounds=1)
-        assert len([w for w in record if w.category is DeprecationWarning]) == 1
+    @pytest.mark.parametrize(
+        "entry, keyword",
+        [(entry, kw) for entry, kws in REMOVED_KEYWORDS.items() for kw in kws],
+    )
+    def test_removed_keyword_raises_type_error(self, entry, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            _call_with(entry, keyword)
 
     def test_tuner_config_path_is_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             MCFuserTuner(A100, config=quick_config())
 
-    def test_tuner_shim_behavior_identical(self, chain):
-        with pytest.warns(DeprecationWarning):
-            legacy = MCFuserTuner(A100, **QUICK).tune(chain)
-        modern = MCFuserTuner(A100, config=SessionConfig.make(**QUICK)).tune(chain)
-        assert legacy.best_time == modern.best_time
-
-    def test_batch_tuner_warns_exactly_once(self):
-        with pytest.warns(DeprecationWarning) as record:
-            BatchTuner(A100, seed=3, cache=ScheduleCache(path=None))
-        assert len([w for w in record if w.category is DeprecationWarning]) == 1
-
-    def test_service_warns_exactly_once(self):
-        with pytest.warns(DeprecationWarning, match="serve.workers") as record:
-            service = CompileService(A100, workers=2)
-        service.close()
-        assert len([w for w in record if w.category is DeprecationWarning]) == 1
-
     def test_service_config_path_is_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             service = CompileService(A100, config=quick_config())
         service.close()
-
-    def test_compile_model_warns_exactly_once(self):
-        graph = bert_encoder("Bert-Small", 128)
-        with pytest.warns(DeprecationWarning, match="search.seed") as record:
-            compile_model(graph, A100, "relay", seed=0)
-        assert len([w for w in record if w.category is DeprecationWarning]) == 1
 
     def test_compile_model_config_path_is_silent(self):
         graph = bert_encoder("Bert-Small", 128)

@@ -20,6 +20,7 @@ from repro.codegen.interpreter import (
 )
 from repro.codegen.program import LoweringError, lower_schedule
 from repro.codegen.runtime import compile_schedule
+from repro.config import SessionConfig
 from repro.gpu.specs import A100
 from repro.ir.chain import (
     ComputeBlock,
@@ -408,9 +409,8 @@ class TestZooBackendSelection:
         from repro.frontend.executor import compile_model
 
         result = compile_model(
-            model,
-            A100,
-            tuner_kwargs={"population_size": 64, "max_rounds": 2, "min_rounds": 1},
+            model, A100,
+            config=SessionConfig.make(population_size=64, max_rounds=2, min_rounds=1),
         )
         backends = result.detail["exec_backend"]
         lowered = backends.get("vectorized", 0) + backends.get("compiled", 0)

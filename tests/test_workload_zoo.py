@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.codegen.runtime import compile_schedule
+from repro.config import SessionConfig
 from repro.frontend.executor import compile_model
 from repro.frontend.partition import partition_graph
 from repro.gpu.specs import A100
@@ -92,7 +93,9 @@ class TestZooFusesEndToEnd:
         assert sg.kind == expected_kind
 
         env = graph.execute(graph.random_feed(seed=0, scale=0.05))
-        report = MCFuserTuner(A100, seed=0, **QUICK).tune(sg.chain)
+        report = MCFuserTuner(
+            A100, config=SessionConfig.make(seed=0, **QUICK)
+        ).tune(sg.chain)
         module = compile_schedule(report.best_schedule, A100)
         fused = module.run(sg.bind_inputs(env))[sg.chain.output]
         np.testing.assert_allclose(
@@ -137,7 +140,9 @@ class TestZooFusesEndToEnd:
         assert all(r.detail for r in partition.rejected)
 
     def test_compile_model_by_registry_name(self):
-        result = compile_model("lora-base", A100, "mcfuser+relay", tuner_kwargs=QUICK)
+        result = compile_model(
+            "lora-base", A100, "mcfuser+relay", config=SessionConfig.make(**QUICK)
+        )
         assert result.mbci_subgraphs == 1
         assert result.detail["rejections"] == {"unsupported-op": 1}
 
@@ -154,6 +159,8 @@ class TestZooBeatsLibraryPath:
     @pytest.mark.parametrize("name", ["ffn-base", "gqa-32x8", "xattn-enc-dec"])
     def test_fusion_speeds_up_model(self, name):
         relay = compile_model(name, A100, "relay")
-        fused = compile_model(name, A100, "mcfuser+relay", tuner_kwargs=self.TUNER)
+        fused = compile_model(
+            name, A100, "mcfuser+relay", config=SessionConfig.make(**self.TUNER)
+        )
         assert fused.time < relay.time
         assert fused.kernel_count < relay.kernel_count
