@@ -16,7 +16,7 @@ Layers (see docs/architecture.md):
 * :mod:`repro.ir`         — tensor IR: graphs, operators, ComputeChain
 * :mod:`repro.tiling`     — tiling expressions, schedules, DAG analysis
 * :mod:`repro.search`     — pruning rules, perf model, search engine, tuner
-* :mod:`repro.cache`      — persistent schedule cache + batch tuning
+* :mod:`repro.cache`      — persistent schedule cache
 * :mod:`repro.codegen`    — TIR / Triton-IR / PTX emission + interpreter
 * :mod:`repro.baselines`  — PyTorch, Relay, Ansor, BOLT, FlashAttention, Chimera
 * :mod:`repro.frontend`   — model builders, partitioner, end-to-end executor
@@ -25,7 +25,7 @@ Layers (see docs/architecture.md):
 * :mod:`repro.experiments`— one driver per paper figure/table
 """
 
-from repro.cache import BatchTuner, ScheduleCache, default_cache, workload_signature
+from repro.cache import ScheduleCache, default_cache, workload_signature
 from repro.codegen import (
     EXEC_BACKENDS,
     OperatorModule,
@@ -109,7 +109,6 @@ __all__ = [
     "make_strategy",
     "strategy_names",
     "ScheduleCache",
-    "BatchTuner",
     "default_cache",
     "workload_signature",
     "CompileService",

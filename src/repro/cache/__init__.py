@@ -1,4 +1,4 @@
-"""Compilation cache: persistent schedule reuse and batch tuning.
+"""Compilation cache: persistent schedule reuse.
 
 MCFuser's headline is *rapid* tuning; this package makes repeated tuning
 free. The pieces:
@@ -9,13 +9,13 @@ free. The pieces:
   versioned JSON-on-disk store with eviction and corruption recovery.
 * :mod:`repro.cache.cache`     — :class:`ScheduleCache`, the two-level
   front door the tuner consults before any enumeration.
-* :mod:`repro.cache.batch`     — :class:`BatchTuner`, signature-dedup +
-  ``concurrent.futures`` tuning of workload lists (``repro cache warmup``).
+
+Batch tuning of workload lists (``repro cache warmup``) runs through the
+compile service: :meth:`repro.session.Session.tune_all`.
 
 See ``docs/architecture.md`` for where the cache sits in the pipeline.
 """
 
-from repro.cache.batch import BatchResult, BatchTuner
 from repro.cache.cache import CacheStats, ScheduleCache, default_cache, default_cache_dir
 from repro.cache.signature import (
     SIGNATURE_VERSION,
@@ -41,6 +41,4 @@ __all__ = [
     "ScheduleCache",
     "default_cache",
     "default_cache_dir",
-    "BatchResult",
-    "BatchTuner",
 ]

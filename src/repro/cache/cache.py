@@ -13,7 +13,8 @@ Layering::
     lookup(chain)  ->  LRU (in-process)  ->  JSON store (cross-process)  ->  miss
 
 Hits found only on disk are promoted into the LRU. All operations are
-thread-safe (``BatchTuner`` tunes concurrently against one cache).
+thread-safe (the compile service's workers tune concurrently against one
+cache).
 
 The default persistent location is ``$REPRO_CACHE_DIR`` when set, else
 ``~/.cache/mcfuser-repro``; pass ``path=None`` for a memory-only cache.

@@ -250,7 +250,8 @@ def add_config_flags(
     Every flag defaults to ``None`` ("not passed"), so
     :func:`config_from_args` can layer explicit flags over the config file
     and environment. ``aliases`` renames a flag for one verb (``serve``
-    exposes ``serve.workers`` as its historical ``--workers``).
+    exposes ``serve.workers`` as its historical ``--workers``, ``cache
+    warmup`` as ``--jobs``).
     """
     aliases = aliases or {}
     dests: list[tuple[str, str]] = []
@@ -320,6 +321,7 @@ _WARMUP_PATHS = (
     "gpu", "search.variant", "search.strategy", "search.population_size",
     "search.top_n", "search.epsilon", "search.max_rounds",
     "search.min_rounds", "search.seed", "search.workers", "cache.dir",
+    "serve.workers",
 )
 _SERVE_PATHS = (
     "gpu", "search.seed", "search.population_size", "search.max_rounds",
@@ -703,8 +705,8 @@ def cmd_cache_warmup(args: argparse.Namespace) -> int:
     if args.all or not names:
         names = [*GEMM_CHAIN_CONFIGS, *ATTENTION_CONFIGS]
     chains = [workload_by_name(name) for name in names]
-    session = Session(config_from_args(args))
-    result = session.tune_all(chains, max_workers=args.jobs)
+    with Session(config_from_args(args)) as session:
+        result = session.tune_all(chains)
     print(f"warmed {result.unique} unique workload(s) "
           f"({result.duplicates} duplicate(s), {result.cache_hits} already cached) "
           f"in {fmt_time(result.tuning_seconds)} simulated tuning time")
@@ -1025,14 +1027,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_clear.set_defaults(fn=cmd_cache_clear)
 
     p_warm = cache_sub.add_parser(
-        "warmup", help="batch-tune workloads into the cache (dedup + thread pool)"
+        "warmup",
+        help="batch-tune workloads into the cache through the compile "
+             "service (signature dedup, --jobs tune workers)",
     )
     p_warm.add_argument("workloads", nargs="*",
                         help="workload names (G1..G12, S1..S9); empty or --all = all")
     p_warm.add_argument("--all", action="store_true")
-    add_config_flags(p_warm, _WARMUP_PATHS)
-    p_warm.add_argument("--jobs", type=int, default=4,
-                        help="tuning thread-pool width")
+    add_config_flags(p_warm, _WARMUP_PATHS,
+                     aliases={"serve.workers": "--jobs"})
     p_warm.set_defaults(fn=cmd_cache_warmup)
 
     p_serve = sub.add_parser(

@@ -28,9 +28,9 @@ This module is the single source of truth for every tunable knob:
   :meth:`SessionConfig.content_hash` is a stable digest of the whole
   config for replica hand-off and snapshot naming.
 
-Every entry point (``MCFuserTuner``, ``BatchTuner``, ``CompileService``,
-``compile_model``) is configured through ``config=`` alone; none of them
-takes a knob as a keyword argument.
+Every entry point (``MCFuserTuner``, ``CompileService``, ``compile_model``,
+``Session``) is configured through ``config=`` alone; none of them takes a
+knob as a keyword argument.
 """
 
 from __future__ import annotations

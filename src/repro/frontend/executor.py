@@ -11,8 +11,10 @@
 * ``mcfuser+ansor`` — MBCI sub-graphs fused by MCFuser, rest on Ansor.
 
 Each strategy also charges a simulated tuning clock, reproducing the
-Table IV end-to-end columns. Identical MBCI sub-graphs (all L attention
-layers of a BERT share one shape) are tuned once and the kernel reused.
+Table IV end-to-end columns. MBCI sub-graphs tune through a
+:class:`~repro.serving.service.CompileService`, so identical ones (all L
+attention layers of a BERT share one shape) are tuned once and the kernel
+reused.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from repro.baselines.library import (
     softmax_kernel,
     transpose_kernel,
 )
-from repro.codegen.runtime import GraphExecutorFactoryModule, OperatorModule, compile_schedule
+from repro.codegen.runtime import GraphExecutorFactoryModule, compile_schedule
 from repro.config import SessionConfig
-from repro.frontend.partition import Partition, partition_graph
+from repro.frontend.partition import partition_graph
 from repro.gpu.kernel import KernelLaunch
 from repro.gpu.simulator import GPUSimulator
 from repro.gpu.specs import GPUSpec, by_name
@@ -46,7 +48,6 @@ from repro.ir.ops import (
     Softmax,
     Transpose,
 )
-from repro.search.tuner import MCFuserTuner
 from repro.search.tuning_cost import TuningClock
 from repro.utils import prod
 
@@ -185,13 +186,25 @@ def compile_model(
     compilation *strategy* argument is not a config knob: it selects which
     compiler stack handles which part of the graph.
 
+    MBCI sub-graphs always tune through a
+    :class:`~repro.serving.service.CompileService`: the ``service`` passed
+    in, or a transient one opened for this call (on ``cache``,
+    ``cost_model`` and ``config``) and closed afterwards. Every fusion group
+    is submitted up front, so identically shaped groups (all L attention
+    layers of a BERT) coalesce onto one tune or hit the service's tiered
+    cache, and distinct shapes tune concurrently on ``config.serve.workers``
+    threads. A submit the bounded queue would shed is retried, never
+    dropped. ``detail["served"]`` histograms the per-group outcome sources
+    (``tuned``/``coalesced``/``hot``/``memory``/``disk``/``bucket``), and
+    ``detail["cache_hits"]`` counts the group *requests* served from a
+    cache tier; for MCFuser strategies, ``detail["rejections"]``
+    histograms why unfused anchors stayed residual.
+
     ``cache`` (a :class:`~repro.cache.cache.ScheduleCache`) makes MBCI
     sub-graph tuning persistent: a model recompiled in a later process pays
-    zero tuning time for every shape the cache already holds. Within one
-    call, identically shaped sub-graphs are deduplicated by workload
-    signature regardless of caching. ``detail["cache_hits"]`` counts the
-    distinct shapes served from the cache; for MCFuser strategies,
-    ``detail["rejections"]`` histograms why unfused anchors stayed residual.
+    zero tuning time for every shape the cache already holds. A passed
+    ``service`` owns its cache (the ``cache`` argument is ignored then) and
+    must target the same ``gpu``.
 
     ``config.search.strategy``/``config.search.workers`` select how each
     MBCI sub-graph is tuned (the engine's registered search strategies and
@@ -204,32 +217,22 @@ def compile_model(
     ``detail["exec_backend"]`` histograms the backend ``auto`` resolved for
     each fused module (e.g. ``{"vectorized": 12}``).
 
-    ``service`` (a :class:`~repro.serving.service.CompileService`) routes
-    MBCI sub-graph tuning through the compile service instead of a private
-    tuner: requests coalesce with other callers of the same service, hit
-    its tiered cache, and show up in its telemetry. The service owns the
-    cache in that mode (the ``cache`` argument is ignored) and must target
-    the same ``gpu``. ``detail["served"]`` histograms the per-sub-graph
-    outcome sources (``tuned``/``coalesced``/``hot``/...), and
-    ``detail["cache_hits"]`` counts sub-graph *requests* served from a
-    cache tier.
-
     ``cost_model``/``config.search.measure_topk`` enable
     learned-cost-model-guided tuning of the MBCI sub-graphs (measure only
     the model's predicted top-k per search round; see
-    :class:`~repro.search.cost_model.LearnedCostModel`). One model is
-    shared across all of a model's sub-graphs, so learning compounds
-    shape-to-shape within the compile. Through a ``service`` the service's
-    own (shared) model is used.
+    :class:`~repro.search.cost_model.LearnedCostModel`). One model — the
+    service's — is shared across all of a model's sub-graphs and the
+    service's ``serve.workers`` tune threads, as under ``repro serve``, so
+    learning compounds shape-to-shape within the compile.
 
     ``config.exec.dynamic="buckets"`` makes MBCI sub-graph tuning
     shape-generic over power-of-two sequence-length buckets
     (``config.exec.dynamic_loops``, default ``("m", "n")``): in-bucket
     sub-graphs of *different* lengths dedupe to one ceiling tune, and each
     compiled module runs the ceiling schedule at its own shape with tail
-    tiles masked. Through a ``service`` the service itself must have been
-    built with the same ``dynamic`` mode (bucketing changes its cache keys
-    and coalescing).
+    tiles masked. A passed ``service`` must itself have been built with the
+    same ``dynamic`` mode (bucketing changes its cache keys and
+    coalescing).
     """
     if isinstance(graph, str):
         from repro.workloads.registry import get_workload
@@ -247,26 +250,43 @@ def compile_model(
         config = service.config if service is not None else SessionConfig()
     if gpu is None:
         gpu = by_name(config.gpu)
+    if service is not None:
+        if service.gpu != gpu:
+            raise ValueError(
+                f"service targets {service.gpu.name}, compile_model asked for "
+                f"{gpu.name}; one service serves one GPU"
+            )
+        dynamic = config.exec.dynamic
+        if dynamic != "off" and service.dynamic != dynamic:
+            raise ValueError(
+                f"compile_model asked for dynamic={dynamic!r} but the service "
+                f"was built with dynamic={service.dynamic!r}; bucketing changes "
+                "the service's cache keys and coalescing, so configure it there"
+            )
     from repro.obs import get_tracer
 
     with get_tracer().span(
         "compile.model", model=graph.name, strategy=strategy
     ) as span:
-        return _compile_model(
-            graph, gpu, strategy, cache, service, cost_model, config, span
-        )
+        if service is not None or not strategy.startswith("mcfuser"):
+            return _compile_model(graph, gpu, strategy, service, config, span)
+        from repro.serving.service import CompileService
+
+        with CompileService(
+            gpu, cache=cache, cost_model=cost_model, config=config
+        ) as transient:
+            return _compile_model(graph, gpu, strategy, transient, config, span)
 
 
-def _compile_model(graph, gpu, strategy, cache, service, cost_model, config, span):
+def _compile_model(graph, gpu, strategy, service, config, span):
     """The validated body of :func:`compile_model`, running inside its
     ``compile.model`` root span (``span`` — the no-op singleton when
-    tracing is disabled)."""
+    tracing is disabled). ``service`` tunes the MBCI sub-graphs of the
+    MCFuser strategies."""
     from repro.obs import get_tracer
 
-    search = config.search
-    seed = search.seed
+    seed = config.search.seed
     exec_backend = config.exec.backend
-    dynamic = config.exec.dynamic
     tracer = get_tracer()
     clock = TuningClock()
     module = GraphExecutorFactoryModule(name=f"{graph.name}:{strategy}", gpu=gpu)
@@ -282,88 +302,40 @@ def _compile_model(graph, gpu, strategy, cache, service, cost_model, config, spa
     }[backend]
     fuse_epilogues = backend in ("relay", "ansor", "bolt")
 
-    # 1. Partition: MBCI sub-graphs go to MCFuser (deduplicated by workload
-    #    signature in-process; persistent across processes with a cache).
+    # 1. Partition: MBCI sub-graphs go to MCFuser through the service.
     mbci_nodes: set[str] = set()
     n_subgraphs = 0
     cache_hits = 0
     rejections: dict[str, int] = {}
     served: dict[str, int] = {}
-    if use_mcfuser and service is not None:
-        if service.gpu != gpu:
-            raise ValueError(
-                f"service targets {service.gpu.name}, compile_model asked for "
-                f"{gpu.name}; one service serves one GPU"
-            )
-        if dynamic != "off" and service.dynamic != dynamic:
-            raise ValueError(
-                f"compile_model asked for dynamic={dynamic!r} but the service "
-                f"was built with dynamic={service.dynamic!r}; bucketing changes "
-                "the service's cache keys and coalescing, so configure it there"
-            )
+    if use_mcfuser:
         with tracer.span("partition", clock=clock, model=graph.name) as psp:
             clock.charge("graph_partition")
             partition = partition_graph(graph, gpu)
             psp.set(subgraphs=len(partition.subgraphs))
         rejections = partition.rejection_reasons()
         # Submit every group up front (identical shapes coalesce or hit the
-        # service's tiered cache), then collect in partition order.
-        tickets = [
-            service.submit(sg.chain, config=config) for sg in partition.subgraphs
-        ]
-        for sg, ticket in zip(partition.subgraphs, tickets):
-            result = ticket.result()
+        # service's tiered cache), then collect in partition order. The
+        # span covers the wait: the tunes themselves run on the service's
+        # workers, on the traces of the requests admitted here.
+        with tracer.span("compile.tune", groups=len(partition.subgraphs)):
+            tickets = service.submit_all(
+                [sg.chain for sg in partition.subgraphs], config=config
+            )
+            results = [ticket.result() for ticket in tickets]
+        for sg, result in zip(partition.subgraphs, results):
             served[result.source] = served.get(result.source, 0) + 1
             if result.source == "tuned":
                 # coalesced riders share the tune; bill its cost once.
                 clock.seconds += result.report.tuning_seconds
             cache_hits += result.source in ("hot", "memory", "disk", "bucket")
+            # compile through the kernel memo: identically shaped groups
+            # (and a recompiled model) share one module.
             module.add_module(
                 compile_schedule(
                     result.report.best_schedule, gpu, exec_backend=exec_backend
                 )
             )
-            mbci_nodes.update(sg.nodes)
-            n_subgraphs += 1
-        residual_nodes = [n for n in graph.nodes if n.output not in mbci_nodes]
-    elif use_mcfuser:
-        with tracer.span("partition", clock=clock, model=graph.name) as psp:
-            clock.charge("graph_partition")
-            partition: Partition = partition_graph(graph, gpu)
-            psp.set(subgraphs=len(partition.subgraphs))
-        rejections = partition.rejection_reasons()
-        tuned: dict[str, OperatorModule] = {}
-        if cost_model is None and (search.measure_topk > 0 or search.cost_model):
-            from repro.search.cost_model import LearnedCostModel
-
-            # one shared model: sub-graph tunes feed one dataset.
-            cost_model = LearnedCostModel(seed=seed)
-        if dynamic == "buckets" and cache is None:
-            from repro.cache.cache import ScheduleCache
-
-            # In-process bucket store: in-bucket sub-graphs of different
-            # lengths dedupe to one ceiling tune even without a user cache.
-            cache = ScheduleCache(path=None)
-        for sg in partition.subgraphs:
-            # Compiled modules are memoized by the *exact* signature even
-            # under bucketing — a module is bound to its output shapes; the
-            # tuner's bucketed cache ladder dedupes the tuning instead.
-            key = sg.signature(gpu, config.variant_key)
-            if key not in tuned:
-                tuner = MCFuserTuner(
-                    gpu, cache=cache, cost_model=cost_model, config=config
-                )
-                report = tuner.tune(sg.chain)
-                clock.seconds += report.tuning_seconds
-                cache_hits += int(report.cache_hit)
-                if getattr(report, "bucket_hit", False):
-                    served["bucket"] = served.get("bucket", 0) + 1
-                # compile through the kernel memo: a model recompiled (or a
-                # second model sharing this shape) reuses the same module.
-                tuned[key] = compile_schedule(
-                    report.best_schedule, gpu, exec_backend=exec_backend
-                )
-            module.add_module(tuned[key])
             mbci_nodes.update(sg.nodes)
             n_subgraphs += 1
         residual_nodes = [n for n in graph.nodes if n.output not in mbci_nodes]

@@ -129,9 +129,7 @@ class ParallelEvaluator:
             if self.workers == 1 or len(candidates) == 1:
                 times = [run_one(p) for p in enumerate(candidates)]
             else:
-                with ThreadPoolExecutor(
-                    max_workers=min(self.workers, len(candidates))
-                ) as pool:
+                with ThreadPoolExecutor(min(self.workers, len(candidates))) as pool:
                     times = list(pool.map(run_one, enumerate(candidates)))
             self.measurements += len(candidates)
             self.batches += 1

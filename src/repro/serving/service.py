@@ -28,9 +28,10 @@ Request accounting invariant (error-free runs)::
 shape.)
 
 (a failed tune moves its *creating* request from ``tunes`` to
-``errors``; coalesced riders stay counted under ``coalesced``). The load
-generator (:mod:`repro.experiments.serve_load`) reconciles its own request
-count against this identity.
+``errors``; coalesced riders stay counted under ``coalesced``; a cache
+hit that fails ``exec.verify`` counts under ``errors``, not its tier).
+The load generator (:mod:`repro.experiments.serve_load`) reconciles its
+own request count against this identity.
 
 Typical use::
 
@@ -47,7 +48,7 @@ import itertools
 import queue
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -57,6 +58,7 @@ from repro.gpu.specs import GPUSpec, by_name
 from repro.search.tuner import (
     MCFuserTuner,
     TuneReport,
+    VerificationError,
     rebind_report,
     report_from_entry,
 )
@@ -167,6 +169,9 @@ class ServeTicket:
 
     def _fail(self, exc: BaseException) -> None:
         self._future.set_exception(exc)
+
+    def _shed(self) -> bool:
+        return self.done() and isinstance(self._future.exception(), QueueFull)
 
 
 @dataclass
@@ -403,6 +408,13 @@ class CompileService:
                     report.dynamic = "buckets"
                     report.bucket = dict(bucket)
                     report.bucket_hit = source == "bucket"
+                try:
+                    self._verified(report, job_config)
+                except VerificationError as exc:
+                    self.telemetry.counter("serve.errors").inc()
+                    span.set(outcome="error", error=str(exc))
+                    ticket._fail(exc)
+                    return ticket
                 self.telemetry.counter(counter).inc()
                 span.set(outcome=source)
                 ticket._resolve(report, source, self.telemetry.histogram("serve.latency.warm"))
@@ -481,6 +493,34 @@ class CompileService:
         """Blocking convenience: :meth:`submit` + ``result()``."""
         return self.submit(workload, **kwargs).result(timeout)
 
+    def submit_all(
+        self,
+        workloads: "Sequence[str | ComputeChain]",
+        lane: str = "interactive",
+        config: "SessionConfig | None" = None,
+    ) -> list[ServeTicket]:
+        """Admit a batch of chain requests, none of them load-shed.
+
+        Tickets align with ``workloads``. A request the bounded queue sheds
+        is resubmitted once one of the batch's earlier tickets resolves, so
+        a batch larger than ``serve.queue_limit`` still completes (each
+        retried admission still counts in ``serve.shed``). This is the one
+        path :func:`~repro.frontend.executor.compile_model` and
+        :meth:`~repro.session.Session.tune_all` tune through.
+        """
+        tickets: list[ServeTicket] = []
+        for workload in workloads:
+            ticket = self.submit(workload, lane=lane, config=config)
+            while ticket._shed():
+                pending = [t._future for t in tickets if not t.done()]
+                if pending:
+                    wait(pending, return_when=FIRST_COMPLETED)
+                else:  # the queue is full of other callers' work
+                    time.sleep(0.001)
+                ticket = self.submit(workload, lane=lane, config=config)
+            tickets.append(ticket)
+        return tickets
+
     def submit_model(
         self,
         model,
@@ -537,6 +577,27 @@ class CompileService:
         tuner = MCFuserTuner(self.gpu, cost_model=self.cost_model, config=job.config)
         return tuner.tune(job.chain)
 
+    def _verified(self, report: TuneReport, config: SessionConfig) -> TuneReport:
+        """Re-check a report no tune produced at its own shape.
+
+        Cache hits and reports rebound to an in-bucket request shape run
+        the tuner's check (:meth:`MCFuserTuner.check_schedule`, same
+        tolerance) whenever ``config.exec.verify`` is active, as a warm
+        ``MCFuserTuner.tune`` does: a mismatch raises
+        :class:`~repro.search.tuner.VerificationError`, a match sets
+        ``report.verified``.
+        """
+        if config.exec.verify == "off":
+            return report
+        tuner = MCFuserTuner(self.gpu, cost_model=self.cost_model, config=config)
+        if not tuner.check_schedule(report.best_schedule):
+            raise VerificationError(
+                f"served schedule {report.best_schedule.describe()} of "
+                f"{report.chain.name!r} disagrees with the reference"
+            )
+        report.verified = True
+        return report
+
     def _worker_loop(self) -> None:
         while True:
             _, _, job = self._queue.get()
@@ -557,13 +618,13 @@ class CompileService:
         tuned report; under bucketing every other ticket gets a shallow
         copy whose schedule is re-expanded on its own chain — coalesced
         riders of one ceiling tune may each carry a different in-bucket
-        length.
+        length, and a rebound report is re-verified at that length.
         """
         if not job.bucket:
             return report
         report = dataclasses.replace(report, dynamic="buckets", bucket=dict(job.bucket))
         if ticket.chain is not None and ticket.chain.loops != job.chain.loops:
-            report = rebind_report(report, ticket.chain)
+            report = self._verified(rebind_report(report, ticket.chain), job.config)
         return report
 
     def _run_job(self, job: _Job) -> None:
@@ -616,11 +677,13 @@ class CompileService:
             )
             cold = self.telemetry.histogram("serve.latency.cold")
             for i, ticket in enumerate(tickets):
-                ticket._resolve(
-                    self._report_for_ticket(job, report, ticket),
-                    "tuned" if i == 0 else "coalesced",
-                    cold,
-                )
+                try:
+                    served = self._report_for_ticket(job, report, ticket)
+                except VerificationError as exc:
+                    self.telemetry.counter("serve.errors").inc()
+                    ticket._fail(exc)
+                    continue
+                ticket._resolve(served, "tuned" if i == 0 else "coalesced", cold)
 
     # -- observability ---------------------------------------------------------
 

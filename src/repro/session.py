@@ -34,7 +34,8 @@ anything new).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence
 
 from repro.config import SessionConfig
 from repro.gpu.specs import GPUSpec, by_name
@@ -48,7 +49,31 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.serving.service import CompileService
     from repro.serving.telemetry import MetricsRegistry
 
-__all__ = ["Session"]
+__all__ = ["BatchResult", "Session"]
+
+
+@dataclass
+class BatchResult:
+    """Outcome of one :meth:`Session.tune_all` call.
+
+    Attributes:
+        reports: One :class:`TuneReport` per *input* chain, aligned with the
+            input order; duplicated shapes share the same report object.
+        signatures: The workload signature of each input chain.
+        unique: Number of distinct signatures actually scheduled.
+        duplicates: Input chains that rode along on another chain's tuning.
+        cache_hits: Unique signatures served from the cache (zero search).
+        tuning_seconds: Total simulated tuning cost across unique tunes
+            (cache hits contribute zero).
+    """
+
+    reports: list["TuneReport"]
+    signatures: list[str]
+    unique: int
+    duplicates: int
+    cache_hits: int
+    tuning_seconds: float
+
 
 #: Sentinel for "attribute not materialized yet" (``None`` is a real value:
 #: e.g. the cache of a ``cache.enabled=False`` session).
@@ -69,9 +94,10 @@ class Session:
     Every resource is created lazily on first access and cached on the
     session, so a ``Session`` is cheap to construct and only pays for what
     the caller actually touches. Resources are *owned* singletons: every
-    tuner, batch tuner, compile, and the compile service built by this
-    session share the same cache, cost model, and metrics registry —
-    that sharing is the point of having a session.
+    tuner the session hands out and its compile service (which runs
+    :meth:`tune_all` and :meth:`compile`) share the same cache, cost
+    model, and metrics registry — that sharing is the point of having a
+    session.
     """
 
     def __init__(
@@ -187,35 +213,41 @@ class Session:
         """Tune one compute chain under the session config."""
         return self.tuner().tune(chain)
 
-    def tune_all(self, chains, max_workers: int = 4):
-        """Batch-tune many chains (signature-deduplicated, concurrent)."""
-        from repro.cache.batch import BatchTuner
+    def tune_all(self, chains: "Sequence[ComputeChain]") -> BatchResult:
+        """Tune many chains through :attr:`service`, once per signature.
 
-        return BatchTuner(
-            self.gpu, cache=self.cache, max_workers=max_workers,
-            config=self.config,
-        ).tune_all(chains)
+        Every chain is submitted up front: duplicates coalesce onto one
+        tune (or hit the service's tiered cache), distinct shapes tune
+        concurrently on ``config.serve.workers`` threads, and no submit is
+        load-shed. Returns a :class:`BatchResult` whose ``reports`` align
+        with ``chains``; duplicated shapes share the first ticket's report
+        object. Deterministic: worker scheduling never affects which
+        schedule a signature gets.
+        """
+        results = [ticket.result() for ticket in self.service.submit_all(chains)]
+        by_sig: dict[str, "TuneReport"] = {}
+        for result in results:
+            by_sig.setdefault(result.signature, result.report)
+        unique = list(by_sig.values())
+        return BatchResult(
+            reports=[by_sig[result.signature] for result in results],
+            signatures=[result.signature for result in results],
+            unique=len(unique),
+            duplicates=len(chains) - len(unique),
+            cache_hits=sum(1 for r in unique if r.cache_hit),
+            tuning_seconds=sum(r.tuning_seconds for r in unique),
+        )
 
-    def compile(
-        self, model, strategy: str = "mcfuser+relay", use_service: bool = False
-    ) -> "E2EResult":
+    def compile(self, model, strategy: str = "mcfuser+relay") -> "E2EResult":
         """Compile a whole model (a :class:`~repro.ir.graph.Graph` or a
         model-level workload name) end to end under the session config.
-
-        ``use_service=True`` routes MBCI sub-graph tuning through the
-        session's :attr:`service` (coalescing + tiered cache + telemetry)
-        instead of a private per-call tuner.
-        """
+        The MCFuser strategies tune its MBCI sub-graphs through
+        :attr:`service` (coalescing + tiered cache + telemetry)."""
         from repro.frontend.executor import compile_model
 
+        service = self.service if strategy.startswith("mcfuser") else None
         return compile_model(
-            model,
-            self.gpu,
-            strategy,
-            cache=self.cache,
-            cost_model=self.cost_model,
-            service=self.service if use_service else None,
-            config=self.config,
+            model, self.gpu, strategy, service=service, config=self.config
         )
 
     # -- lifecycle ------------------------------------------------------------

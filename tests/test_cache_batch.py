@@ -1,20 +1,26 @@
-"""BatchTuner: signature dedup, concurrency, cache interplay."""
+"""Batch tuning through ``Session.tune_all``: signature dedup, concurrency,
+queue bounds, cache interplay."""
 
 import pytest
 
-from repro.cache import BatchTuner, ScheduleCache
+from repro.cache import ScheduleCache
 from repro.config import SessionConfig
-from repro.gpu.specs import A100
 from repro.ir.chain import attention_chain, gemm_chain
+from repro.session import Session
 
 QUICK = dict(population_size=64, top_n=4, max_rounds=2, min_rounds=1)
 
 
-def batch_tuner(cache=None, max_workers=2):
-    return BatchTuner(
-        A100, cache=cache, max_workers=max_workers,
-        config=SessionConfig.make(seed=0, **QUICK),
+def batch_session(tmp_path=None, serve_workers=2, **knobs):
+    cache = dict(cache_dir=str(tmp_path)) if tmp_path else dict(cache_enabled=False)
+    return Session(
+        SessionConfig.make(seed=0, serve_workers=serve_workers, **cache, **QUICK, **knobs)
     )
+
+
+def tune_all(chains, tmp_path=None, **knobs):
+    with batch_session(tmp_path, **knobs) as session:
+        return session.tune_all(chains)
 
 
 class TestDedup:
@@ -24,7 +30,7 @@ class TestDedup:
             gemm_chain(1, 128, 128, 64, 64, name="layer1"),  # same shape
             attention_chain(4, 128, 128, 32, 32, name="attn"),
         ]
-        result = batch_tuner().tune_all(chains)
+        result = tune_all(chains)
         assert result.unique == 2
         assert result.duplicates == 1
         assert len(result.reports) == 3
@@ -36,13 +42,13 @@ class TestDedup:
     def test_reports_align_with_input_order(self):
         g = gemm_chain(1, 128, 128, 64, 64, name="g")
         a = attention_chain(4, 128, 128, 32, 32, name="a")
-        result = batch_tuner().tune_all([a, g, a])
+        result = tune_all([a, g, a])
         assert result.reports[0].chain.name == "a"
         assert result.reports[1].chain.name == "g"
         assert result.reports[0] is result.reports[2]
 
     def test_empty_batch(self):
-        result = batch_tuner().tune_all([])
+        result = tune_all([])
         assert result.reports == [] and result.unique == 0 and result.duplicates == 0
 
 
@@ -53,19 +59,23 @@ class TestConcurrency:
             gemm_chain(1, 96, 96, 32, 32, name="g2"),
             attention_chain(4, 128, 128, 32, 32, name="a1"),
         ]
-        serial = BatchTuner(
-            A100, max_workers=1, config=SessionConfig.make(seed=0, **QUICK)
-        ).tune_all(chains)
-        threaded = BatchTuner(
-            A100, max_workers=3, config=SessionConfig.make(seed=0, **QUICK)
-        ).tune_all(chains)
+        serial = tune_all(chains, serve_workers=1)
+        threaded = tune_all(chains, serve_workers=3)
         for s, t in zip(serial.reports, threaded.reports):
             assert s.best_candidate.key == t.best_candidate.key
             assert s.best_time == t.best_time
 
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError):
-            BatchTuner(A100, max_workers=0)
+            batch_session(serve_workers=0)
+
+    def test_batch_larger_than_queue_limit_completes(self):
+        """No submit of a batch is load-shed, whatever the queue bound."""
+        chains = [gemm_chain(1, 96 + 16 * i, 96, 32, 32, name=f"q{i}") for i in range(3)]
+        result = tune_all(chains, serve_workers=1, queue_limit=1)
+        assert result.unique == 3
+        assert [r.chain.name for r in result.reports] == ["q0", "q1", "q2"]
+        assert all(r.best_time > 0 for r in result.reports)
 
 
 class TestCacheInterplay:
@@ -74,11 +84,10 @@ class TestCacheInterplay:
             gemm_chain(1, 128, 128, 64, 64, name="g"),
             attention_chain(4, 128, 128, 32, 32, name="a"),
         ]
-        cache = ScheduleCache(tmp_path)
-        first = batch_tuner(cache).tune_all(chains)
+        first = tune_all(chains, tmp_path)
         assert first.cache_hits == 0
         assert first.tuning_seconds > 0
-        second = batch_tuner(cache).tune_all(chains)
+        second = tune_all(chains, tmp_path)
         assert second.cache_hits == second.unique == 2
         assert second.tuning_seconds == 0.0
         for a, b in zip(first.reports, second.reports):
@@ -92,7 +101,6 @@ class TestCacheInterplay:
             gemm_chain(1, 96, 80, 64, 48, name="g3"),
             attention_chain(4, 128, 128, 32, 32, name="a1"),
         ]
-        cache = ScheduleCache(tmp_path)
-        batch_tuner(cache, max_workers=4).tune_all(chains)
+        tune_all(chains, tmp_path, serve_workers=4)
         reopened = ScheduleCache(tmp_path)
         assert reopened.stats().disk_entries == 4

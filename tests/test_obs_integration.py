@@ -314,7 +314,15 @@ class TestCompileModelDetail:
         by_id = {r.span_id: r for r in tracer.recorder.spans()}
         [partition] = spans["partition"]
         assert partition.parent_id == root.span_id
+        # each group tunes on a compile-service worker, on the trace of the
+        # request compile_model admitted it with
+        [tune_wait] = spans["compile.tune"]
+        assert tune_wait.parent_id == root.span_id
         for r in spans["tune"]:
-            assert by_id[r.parent_id].name == "compile.model"
+            serve_tune = by_id[r.parent_id]
+            assert serve_tune.name == "serve.tune"
+            request = by_id[serve_tune.parent_id]
+            assert request.name == "serve.request"
+            assert request.parent_id == tune_wait.span_id
         doc = chrome_trace(tracer.recorder)
         validate_chrome_trace(doc)

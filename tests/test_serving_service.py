@@ -14,6 +14,7 @@ from repro.gpu.specs import A100, RTX3080
 from repro.ir.chain import gemm_chain
 from repro.ir.graph import Graph
 from repro.ir.ops import BatchMatmul, Softmax
+from repro.search.tuner import MCFuserTuner, VerificationError
 from repro.serving import (
     CompileService,
     MetricsRegistry,
@@ -392,3 +393,71 @@ class TestExecBackend:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             CompileService(A100, config=SessionConfig.make(exec_backend="cuda"))
+
+
+class TestVerifyOnHit:
+    """A cache hit is re-checked under ``exec.verify`` exactly as a warm
+    ``MCFuserTuner.tune`` re-checks it: same check, same tolerance."""
+
+    def _cached(self, chain):
+        cache = ScheduleCache(path=None)
+        MCFuserTuner(A100, cache=cache, config=SessionConfig.make(**QUICK)).tune(chain)
+        return cache
+
+    def test_failed_check_fails_the_hit(self, monkeypatch):
+        chain = chain_for(70)
+        cache = self._cached(chain)
+        monkeypatch.setattr(MCFuserTuner, "check_schedule", lambda self, s: False)
+        verify = SessionConfig.make(verify="best", **QUICK)
+        with pytest.raises(VerificationError):
+            MCFuserTuner(A100, cache=cache, config=verify).tune(chain)
+        registry = MetricsRegistry()
+        with quick_service(cache=cache, telemetry=registry, verify="best") as svc:
+            ticket = svc.submit(chain)
+            with pytest.raises(VerificationError):
+                ticket.result(timeout=60)
+        counters = registry.snapshot()["counters"]
+        assert counters["serve.errors"] == 1
+        assert "serve.hits.memory" not in counters
+        # with verification off the hit is served unchecked
+        with quick_service(cache=cache) as svc:
+            hit = svc.compile(chain, timeout=60)
+        assert hit.source == "memory"
+        assert not hit.report.verified
+
+    def test_passed_check_marks_hit_verified(self):
+        chain = chain_for(71)
+        cache = self._cached(chain)
+        with quick_service(cache=cache, verify="best") as svc:
+            hit = svc.compile(chain, timeout=60)
+        assert hit.source == "memory"
+        assert hit.report.verified
+
+    def test_bucket_hit_checked_at_request_shape(self, monkeypatch):
+        checked = []
+
+        def check(self, schedule):
+            checked.append(schedule.chain.loops["m"])
+            return True
+
+        with quick_service(serve_workers=1, dynamic="buckets", verify="best") as svc:
+            assert svc.compile(gemm_chain(1, 300, 96, 32, 32), timeout=120).source == "tuned"
+            monkeypatch.setattr(MCFuserTuner, "check_schedule", check)
+            hit = svc.compile(gemm_chain(1, 270, 96, 32, 32), timeout=60)
+            assert hit.source == "bucket"
+            assert hit.report.verified
+            assert checked == [270]
+            monkeypatch.setattr(MCFuserTuner, "check_schedule", lambda self, s: False)
+            with pytest.raises(VerificationError):
+                svc.compile(gemm_chain(1, 280, 96, 32, 32), timeout=60)
+
+    def test_rebound_tune_checked_at_request_shape(self, monkeypatch):
+        """A ceiling tune passes its own check; the schedule rebound to the
+        in-bucket request shape is checked again, at that shape."""
+        monkeypatch.setattr(
+            MCFuserTuner, "check_schedule", lambda self, s: s.chain.loops["m"] == 512
+        )
+        with quick_service(serve_workers=1, dynamic="buckets", verify="best") as svc:
+            assert svc.compile(gemm_chain(1, 512, 96, 32, 32), timeout=120).report.verified
+            with pytest.raises(VerificationError):
+                svc.compile(gemm_chain(1, 300, 96, 24, 32), timeout=120)

@@ -8,7 +8,6 @@ import pytest
 
 from repro.baselines.chimera import MCFuserChimeraBaseline
 from repro.baselines.mcfuser import MCFuserBaseline
-from repro.cache.batch import BatchTuner
 from repro.cache.cache import ScheduleCache
 from repro.config import SessionConfig
 from repro.experiments import serve_load
@@ -127,7 +126,8 @@ class TestWork:
             gemm_chain(batch=1, m=64, n=64, k=32, h=32, name="Gb"),
         ]
         session = Session(SessionConfig.make(cache_dir=str(tmp_path), **QUICK))
-        result = session.tune_all(chains, max_workers=2)
+        with session:
+            result = session.tune_all(chains)
         assert len(result.reports) == len(chains)
         assert result.unique + result.duplicates == len(chains)
 
@@ -150,15 +150,17 @@ class TestWork:
 
 
 #: Every keyword the removed knob shims accepted, per entry point. Each
-#: duplicated a SessionConfig field. ``population_size`` stands for the
-#: dropped ``**tuner_kwargs`` catch-alls.
+#: duplicated a SessionConfig field (``Session.compile``'s ``use_service``
+#: picked a tune path that is now the only one). ``population_size``
+#: stands for the dropped ``**tuner_kwargs`` catch-alls.
 REMOVED_KEYWORDS = {
     "MCFuserTuner": (
         "variant", "population_size", "top_n", "epsilon", "max_rounds",
         "min_rounds", "seed", "strategy", "workers", "exec_backend", "verify",
         "measure_topk", "dynamic", "dynamic_loops",
     ),
-    "BatchTuner": ("variant", "seed", "strategy", "measure_workers", "population_size"),
+    "Session.tune_all": ("max_workers",),
+    "Session.compile": ("use_service",),
     "CompileService": (
         "workers", "queue_limit", "seed", "exec_backend", "tuner_kwargs",
         "measure_topk", "dynamic", "dynamic_loops",
@@ -187,7 +189,8 @@ def _call_with(entry: str, keyword: str) -> None:
         return
     calls = {
         "MCFuserTuner": lambda: MCFuserTuner(A100, **kw),
-        "BatchTuner": lambda: BatchTuner(A100, **kw),
+        "Session.tune_all": lambda: Session(quick_config()).tune_all([], **kw),
+        "Session.compile": lambda: Session(quick_config()).compile("bert-small", **kw),
         "CompileService": lambda: CompileService(A100, **kw),
         "compile_model": lambda: compile_model("bert-small", A100, "relay", **kw),
         "serve_load.run": lambda: serve_load.run(**kw),
