@@ -20,7 +20,8 @@ Layers (see docs/architecture.md):
 * :mod:`repro.codegen`    — TIR / Triton-IR / PTX emission + interpreter
 * :mod:`repro.baselines`  — PyTorch, Relay, Ansor, BOLT, FlashAttention, Chimera
 * :mod:`repro.frontend`   — model builders, partitioner, end-to-end executor
-* :mod:`repro.serving`    — compile service: coalescing, tiered cache, telemetry
+* :mod:`repro.serving`    — compile service: coalescing, tiered cache, load shedding
+* :mod:`repro.obs`        — tracing, the metrics registry, the instrumented memo
 * :mod:`repro.workloads`  — Tables II and III
 * :mod:`repro.experiments`— one driver per paper figure/table
 """
@@ -50,6 +51,7 @@ from repro.frontend import (
 )
 from repro.gpu import A100, RTX3080, GPUSimulator, GPUSpec, KernelLaunch
 from repro.ir import ComputeChain, Graph, attention_chain, gemm3_chain, gemm_chain
+from repro.obs import MetricsRegistry
 from repro.search import (
     LearnedCostModel,
     MCFuserTuner,
@@ -62,7 +64,7 @@ from repro.search import (
     schedule_features,
     strategy_names,
 )
-from repro.serving import CompileService, MetricsRegistry, TieredCache
+from repro.serving import CompileService, TieredCache
 from repro.session import Session
 from repro.tiling import Schedule, TilingExpr, build_schedule
 from repro.workloads import (

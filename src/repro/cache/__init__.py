@@ -5,8 +5,8 @@ free. The pieces:
 
 * :mod:`repro.cache.signature` — content hashes over (op chain, shapes,
   dtype, GPU spec, variant); the cache key everything below shares.
-* :mod:`repro.cache.store`     — entry format, in-memory LRU, and the
-  versioned JSON-on-disk store with eviction and corruption recovery.
+* :mod:`repro.cache.store`     — entry format and the versioned
+  JSON-on-disk store with eviction and corruption recovery.
 * :mod:`repro.cache.cache`     — :class:`ScheduleCache`, the two-level
   front door the tuner consults before any enumeration.
 
@@ -24,7 +24,7 @@ from repro.cache.signature import (
     schedule_signature,
     workload_signature,
 )
-from repro.cache.store import SCHEMA_VERSION, CacheDecodeError, CacheEntry, LRUCache, PersistentStore
+from repro.cache.store import SCHEMA_VERSION, CacheDecodeError, CacheEntry, PersistentStore
 
 __all__ = [
     "SIGNATURE_VERSION",
@@ -35,7 +35,6 @@ __all__ = [
     "schedule_signature",
     "CacheDecodeError",
     "CacheEntry",
-    "LRUCache",
     "PersistentStore",
     "CacheStats",
     "ScheduleCache",

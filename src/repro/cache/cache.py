@@ -36,7 +36,8 @@ import threading
 from dataclasses import dataclass
 
 from repro.cache.signature import DEFAULT_STRATEGY, variant_key, workload_signature
-from repro.cache.store import CacheEntry, LRUCache, PersistentStore
+from repro.cache.store import CacheEntry, PersistentStore
+from repro.obs import LRUCache
 from repro.tiling.expr import TilingExpr
 from repro.tiling.schedule import Schedule, build_schedule
 
@@ -44,6 +45,9 @@ __all__ = ["CacheStats", "ScheduleCache", "default_cache_dir", "default_cache"]
 
 #: File name of the persistent store inside the cache directory.
 STORE_FILENAME = "schedule_cache.json"
+
+#: Entries the in-process LRU layer keeps in front of the JSON store.
+MEMORY_CAPACITY = 128
 
 
 def default_cache_dir() -> str:
@@ -88,7 +92,6 @@ class ScheduleCache:
 
     Args:
         path: Directory for the JSON store, or ``None`` for memory-only.
-        memory_capacity: In-process LRU size (0 disables the layer).
         max_entries: Disk-store eviction threshold (least recently used
             entries are dropped first).
 
@@ -103,11 +106,10 @@ class ScheduleCache:
     def __init__(
         self,
         path: str | os.PathLike | None = None,
-        memory_capacity: int = 128,
         max_entries: int = 512,
     ) -> None:
         self._lock = threading.RLock()
-        self._memory = LRUCache(memory_capacity)
+        self._memory = LRUCache("cache.memory", capacity=MEMORY_CAPACITY)
         self._store: PersistentStore | None = None
         self.path: str | None = None
         if path is not None:

@@ -1,12 +1,11 @@
-"""Storage layers of the schedule cache: entries, in-memory LRU, JSON disk.
+"""Storage layers of the schedule cache: entries and the JSON disk store.
 
-Three pieces, composed by :class:`~repro.cache.cache.ScheduleCache`:
+Two pieces, composed by :class:`~repro.cache.cache.ScheduleCache` (whose
+in-memory layer is the shared :class:`~repro.obs.memo.LRUCache`):
 
 * :class:`CacheEntry` — one tuned result, reduced to what is needed to
   rebuild the schedule without re-running search: the tiling expression
   text, the tile sizes, the DAG-optimization flag, and accounting numbers.
-* :class:`LRUCache` — a bounded in-memory layer so hot workloads never
-  touch the filesystem.
 * :class:`PersistentStore` — a versioned JSON file with atomic writes,
   least-recently-used eviction, and corrupted-file recovery (a damaged
   store is moved aside to ``<path>.corrupt`` and an empty store started,
@@ -24,10 +23,9 @@ import json
 import os
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
-__all__ = ["SCHEMA_VERSION", "CacheDecodeError", "CacheEntry", "LRUCache", "PersistentStore"]
+__all__ = ["SCHEMA_VERSION", "CacheDecodeError", "CacheEntry", "PersistentStore"]
 
 #: On-disk schema version. A store written by a different version is
 #: discarded (moved aside), never partially interpreted.
@@ -115,49 +113,6 @@ class CacheEntry:
         if not entry.signature or entry.best_time <= 0 or not entry.tiles:
             raise CacheDecodeError(f"implausible cache entry for {entry.workload!r}")
         return entry
-
-
-class LRUCache:
-    """Bounded in-memory key -> value map with least-recently-used eviction.
-
-    ``get`` refreshes recency; inserting beyond ``capacity`` evicts the
-    least recently used entry. Capacity 0 disables the layer entirely.
-    Used for both the schedule cache's memory layer (signature ->
-    :class:`CacheEntry`) and codegen's compiled-kernel memo.
-    """
-
-    def __init__(self, capacity: int = 128) -> None:
-        if capacity < 0:
-            raise ValueError(f"LRU capacity must be >= 0, got {capacity}")
-        self.capacity = capacity
-        self._entries: OrderedDict[str, object] = OrderedDict()
-
-    def get(self, key: str):
-        value = self._entries.get(key)
-        if value is not None:
-            self._entries.move_to_end(key)
-        return value
-
-    def peek(self, key: str):
-        """Lookup without refreshing recency."""
-        return self._entries.get(key)
-
-    def put(self, key: str, value) -> None:
-        if self.capacity == 0:
-            return
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
 
 
 class PersistentStore:

@@ -32,9 +32,10 @@ Commands:
 * ``trace <workload>``     — run one tune (chain) or whole-model compile
                              (model) with the span tracer on and write a
                              Perfetto-loadable Chrome trace (``--out``) plus
-                             raw ``traces.jsonl`` in the cache dir.
-                             ``serve --trace`` does the same for a whole
-                             serving session.
+                             raw ``traces.jsonl`` in the cache dir
+                             (``serve --trace`` does the same for a whole
+                             serving session), then print a span rollup and
+                             every memo's hit/miss/eviction counters.
 * ``model train``          — fit the learned cost model from the measurement
                              dataset (optionally measuring workloads first to
                              grow it) and persist the snapshot.
@@ -347,7 +348,7 @@ def _open_cache(cfg: SessionConfig) -> ScheduleCache:
 
 def _metrics_path(cfg: SessionConfig) -> str:
     """Where ``serve`` persists (and ``metrics`` reads) the telemetry snapshot."""
-    from repro.serving.telemetry import SNAPSHOT_FILENAME
+    from repro.obs.metrics import SNAPSHOT_FILENAME
 
     return os.path.join(cfg.cache.resolved_dir(), SNAPSHOT_FILENAME)
 
@@ -619,7 +620,7 @@ def cmd_list(_: argparse.Namespace) -> int:
 
 
 def cmd_cache_stats(args: argparse.Namespace) -> int:
-    from repro.serving.telemetry import load_snapshot
+    from repro.obs.metrics import load_snapshot
 
     cfg = config_from_args(args)
     cache = _open_cache(cfg)
@@ -721,7 +722,7 @@ def cmd_cache_warmup(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the compile service under the Zipf replay load generator."""
     from repro.experiments import serve_load
-    from repro.serving.telemetry import MetricsRegistry, save_snapshot
+    from repro.obs.metrics import MetricsRegistry, save_snapshot
     from repro.serving.tiers import TieredCache
 
     cfg = config_from_args(args)
@@ -781,7 +782,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     """Print the persisted telemetry snapshot of the last serving session."""
-    from repro.serving.telemetry import load_snapshot
+    from repro.obs.metrics import load_snapshot
 
     cfg = config_from_args(args)
     path = _metrics_path(cfg)
@@ -875,7 +876,9 @@ def cmd_model_stats(args: argparse.Namespace) -> int:
 
 
 def _trace_summary_lines(spans, coverage: float) -> list[str]:
-    """Per-span-name rollup + coverage line for traced runs."""
+    """Per-span-name rollup + coverage line, then one row per live memo."""
+    from repro.obs import memo_stats
+
     by_span: dict[str, list[float]] = {}
     for r in spans:
         by_span.setdefault(r.name, []).append(r.duration)
@@ -887,6 +890,13 @@ def _trace_summary_lines(spans, coverage: float) -> list[str]:
     ]
     lines = [format_table(["span", "count", "total", "max"], rows)]
     lines.append(f"root-span coverage by direct children: {coverage:.1%}")
+    memos = [
+        [s.name, f"{s.entries}/{s.capacity}", s.hits, s.misses, s.evictions]
+        for s in memo_stats()
+    ]
+    lines.append(format_table(
+        ["memo", "entries/capacity", "hits", "misses", "evictions"], memos
+    ))
     return lines
 
 
@@ -896,7 +906,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     Chain workloads run one tune; model workloads run a full
     ``compile_model`` (partition -> per-group tunes -> residual lowering
     -> simulated execution). The raw spans are also persisted as JSONL in
-    the cache dir for offline analysis.
+    the cache dir for offline analysis. After the span rollup it prints
+    one row per live memo (:func:`repro.obs.memo_stats`).
     """
     from repro.obs import (
         TRACE_FILENAME,

@@ -28,9 +28,7 @@ from repro.codegen.render_c import (
 from repro.codegen.ptx import emit_ptx, emit_ptx_from_program, mma_count_for_tile
 from repro.codegen.runtime import (
     GraphExecutorFactoryModule,
-    KernelCacheStats,
     OperatorModule,
-    clear_kernel_cache,
     compile_schedule,
     kernel_cache_stats,
 )
@@ -89,7 +87,5 @@ __all__ = [
     "OperatorModule",
     "GraphExecutorFactoryModule",
     "compile_schedule",
-    "KernelCacheStats",
     "kernel_cache_stats",
-    "clear_kernel_cache",
 ]

@@ -37,9 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cache.store import LRUCache
 from repro.codegen.program import TileProgram
 from repro.codegen.render_c import RenderedKernel, RenderError, render_program
+from repro.obs import LRUCache
 from repro.obs.tracer import NOOP_SPAN, get_tracer
 
 __all__ = [
@@ -154,7 +154,7 @@ class ClangRuntime:
         self._weak: "weakref.WeakValueDictionary[str, CompiledKernel]" = (
             weakref.WeakValueDictionary()
         )
-        self._strong = LRUCache(capacity=MEMORY_CACHE_CAPACITY)
+        self._strong = LRUCache("clang.kernels", capacity=MEMORY_CACHE_CAPACITY)
         self._lock = threading.Lock()
         self._inflight: dict[str, _Inflight] = {}
         self._stats = CompilerCacheStats()

@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.ir.chain import ComputeBlock, ComputeChain
+from repro.obs import get_metrics, get_tracer
+from repro.obs.metrics import labeled
 from repro.tiling.schedule import LoopScope, Schedule, Statement
 from repro.utils import prod
 
@@ -412,8 +414,6 @@ def execute_schedule(
     :class:`InterpreterError` for schedules the pruning rules should have
     rejected (invalid orders, multi-copy buffers).
     """
-    from repro.obs import get_tracer
-
     tracer = get_tracer()
     if not tracer.enabled:
         return _execute(schedule, inputs, backend)
@@ -482,9 +482,6 @@ def _record_fallback(frm: str, to: str, reason: str, detail: str = "") -> None:
     and reason token (``no-compiler`` / ``flops-threshold`` /
     ``not-renderable`` / ``not-lowerable`` / ``render-error``).
     """
-    from repro.obs import get_metrics, get_tracer
-    from repro.serving.telemetry import labeled
-
     registry = get_metrics()
     registry.counter(
         "exec.fallback", "executions that fell back to a slower backend"

@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.codegen.interpreter import InterpreterError
+from repro.obs import LRUCache, get_tracer
 from repro.tiling.schedule import LoopScope, Schedule, Statement
 from repro.utils import prod
 
@@ -145,19 +146,23 @@ def lower_schedule(
     :class:`~repro.tiling.schedule.InvalidScheduleError` for schedules no
     backend may run.
     """
-    memo_key = None
-    if max_ops == MAX_PROGRAM_OPS and max_gather_bytes == MAX_GATHER_BYTES:
-        memo_key = _content_key(schedule)
-        hit = _LOWER_MEMO.get(memo_key)
-        if hit is not None:
-            # The unrolled ops depend only on schedule content; hand back
-            # the caller's own schedule object so downstream identity
-            # checks and tile lookups see exactly what was passed in.
-            if hit.schedule is schedule:
-                return hit
-            return replace(hit, schedule=schedule)
-    from repro.obs import get_tracer
+    if max_ops != MAX_PROGRAM_OPS or max_gather_bytes != MAX_GATHER_BYTES:
+        return _lower_traced(schedule, max_ops, max_gather_bytes)
+    program = _LOWERED.get_or_compute(
+        _content_key(schedule),
+        lambda: _lower_traced(schedule, max_ops, max_gather_bytes),
+    )
+    # The unrolled ops depend only on schedule content; hand back the
+    # caller's own schedule object so downstream identity checks and tile
+    # lookups see exactly what was passed in.
+    if program.schedule is schedule:
+        return program
+    return replace(program, schedule=schedule)
 
+
+def _lower_traced(
+    schedule: Schedule, max_ops: int, max_gather_bytes: int
+) -> TileProgram:
     tracer = get_tracer()
     attrs = (
         {"chain": schedule.chain.name, "expr": schedule.expr.render()}
@@ -167,10 +172,6 @@ def lower_schedule(
     with tracer.span("lower", **attrs) as span:
         program = _lower_uncached(schedule, max_ops, max_gather_bytes)
         span.set(ops=len(program.ops), cells=program.n_cells)
-    if memo_key is not None:
-        if len(_LOWER_MEMO) >= _LOWER_MEMO_CAP:
-            _LOWER_MEMO.clear()
-        _LOWER_MEMO[memo_key] = program
     return program
 
 
@@ -240,14 +241,12 @@ def try_lower(schedule: Schedule, backend: str = "auto") -> TileProgram | None:
 #: schedule content key -> lowerability verdict. Warm cache hits rebuild
 #: the same schedules over and over (one per served signature); memoizing
 #: the verdict keeps `resolve_exec_backend` off the unroll path there.
-_LOWERABLE_MEMO: dict[int, bool] = {}
-_LOWERABLE_MEMO_CAP = 4096
+_LOWERABLE = LRUCache("codegen.lowerable", capacity=4096)
 
 #: schedule content key -> unrolled program (default caps only). The op
 #: list is pure in schedule content, so repeat executions of one schedule
 #: skip the residual-loop walk; hits re-bind the caller's schedule object.
-_LOWER_MEMO: dict[int, TileProgram] = {}
-_LOWER_MEMO_CAP = 256
+_LOWERED = LRUCache("codegen.lower", capacity=256)
 
 
 def _content_key(schedule: Schedule) -> int:
@@ -266,15 +265,14 @@ def schedule_lowerable(schedule: Schedule) -> bool:
     """Whether ``schedule`` lowers to a flat batched program (memoized by
     schedule content, so repeated queries for rebuilt-but-identical
     schedules cost a hash instead of an unroll)."""
-    key = _content_key(schedule)
-    verdict = _LOWERABLE_MEMO.get(key)
-    if verdict is None:
-        try:
-            lower_schedule(schedule)
-            verdict = True
-        except LoweringError:
-            verdict = False
-        if len(_LOWERABLE_MEMO) >= _LOWERABLE_MEMO_CAP:
-            _LOWERABLE_MEMO.clear()
-        _LOWERABLE_MEMO[key] = verdict
-    return verdict
+    return _LOWERABLE.get_or_compute(
+        _content_key(schedule), lambda: _lowers(schedule)
+    )
+
+
+def _lowers(schedule: Schedule) -> bool:
+    try:
+        lower_schedule(schedule)
+    except LoweringError:
+        return False
+    return True

@@ -32,7 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.codegen.interpreter import InterpreterError, softmax_row_dims
-from repro.codegen.program import TileProgram
+from repro.codegen.program import TileProgram, _content_key, try_lower
+from repro.obs import LRUCache
 from repro.tiling.schedule import LoopScope, Statement
 from repro.utils import prod, stable_hash
 
@@ -782,8 +783,7 @@ class _Emitter:
 #: is pure in the program content, so repeat executions of the same
 #: schedule skip the ~1ms emit pass; a tampered program differs in its
 #: ops tuple, misses the memo, and still reaches ``_verify_program``.
-_RENDER_MEMO: dict[tuple, "RenderedKernel"] = {}
-_RENDER_MEMO_CAP = 256
+_RENDERED = LRUCache("codegen.render", capacity=256)
 
 
 def render_program(program: TileProgram) -> RenderedKernel:
@@ -796,62 +796,45 @@ def render_program(program: TileProgram) -> RenderedKernel:
     softmax row shape) is re-raised as a :class:`RenderError` so callers
     can catch one typed error.
     """
-    from repro.codegen.program import _content_key
-
     key = (_content_key(program.schedule), program.ops, program.grid_loops)
-    hit = _RENDER_MEMO.get(key)
-    if hit is not None:
-        return hit
+    return _RENDERED.get_or_compute(key, lambda: _render_uncached(program))
+
+
+def _render_uncached(program: TileProgram) -> RenderedKernel:
     try:
         _verify_program(program)
-        rendered = _Emitter(program).render()
+        return _Emitter(program).render()
     except RenderError:
         raise
     except InterpreterError as exc:
         raise RenderError(str(exc)) from exc
-    if len(_RENDER_MEMO) >= _RENDER_MEMO_CAP:
-        _RENDER_MEMO.clear()
-    _RENDER_MEMO[key] = rendered
-    return rendered
 
 
-#: program content key -> renderability verdict, mirroring
-#: ``program._LOWERABLE_MEMO`` so `resolve_exec_backend` stays off the
-#: render path for rebuilt-but-identical schedules.
-_RENDERABLE_MEMO: dict[int, bool] = {}
-_RENDERABLE_MEMO_CAP = 4096
+#: schedule content key -> renderability verdict, mirroring
+#: ``program._LOWERABLE`` so `resolve_exec_backend` stays off the render
+#: path for rebuilt-but-identical schedules.
+_RENDERABLE = LRUCache("codegen.renderable", capacity=4096)
+
+
+def _renders(program: TileProgram | None) -> bool:
+    if program is None:
+        return False
+    try:
+        render_program(program)
+    except RenderError:
+        return False
+    return True
 
 
 def program_renderable(program: TileProgram) -> bool:
     """Whether ``program`` renders to C (memoized by schedule content)."""
-    from repro.codegen.program import _content_key
-
-    key = _content_key(program.schedule)
-    verdict = _RENDERABLE_MEMO.get(key)
-    if verdict is None:
-        try:
-            render_program(program)
-            verdict = True
-        except RenderError:
-            verdict = False
-        if len(_RENDERABLE_MEMO) >= _RENDERABLE_MEMO_CAP:
-            _RENDERABLE_MEMO.clear()
-        _RENDERABLE_MEMO[key] = verdict
-    return verdict
+    return _RENDERABLE.get_or_compute(
+        _content_key(program.schedule), lambda: _renders(program)
+    )
 
 
 def schedule_renderable(schedule) -> bool:
     """Whether ``schedule`` lowers *and* renders to C (memoized)."""
-    from repro.codegen.program import _content_key, try_lower
-
-    key = _content_key(schedule)
-    verdict = _RENDERABLE_MEMO.get(key)
-    if verdict is not None:
-        return verdict
-    program = try_lower(schedule, "auto")
-    if program is None:
-        if len(_RENDERABLE_MEMO) >= _RENDERABLE_MEMO_CAP:
-            _RENDERABLE_MEMO.clear()
-        _RENDERABLE_MEMO[key] = False
-        return False
-    return program_renderable(program)
+    return _RENDERABLE.get_or_compute(
+        _content_key(schedule), lambda: _renders(try_lower(schedule, "auto"))
+    )

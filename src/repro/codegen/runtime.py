@@ -15,7 +15,6 @@ from functools import cached_property
 import numpy as np
 
 from repro.cache.signature import schedule_signature
-from repro.cache.store import LRUCache
 from repro.codegen.interpreter import execute_schedule, validate_exec_backend
 from repro.codegen.program import TileProgram, try_lower
 from repro.codegen.ptx import emit_ptx, emit_ptx_from_program
@@ -27,15 +26,14 @@ from repro.codegen.triton_ir import (
 from repro.gpu.kernel import KernelLaunch
 from repro.gpu.simulator import GPUSimulator
 from repro.gpu.specs import GPUSpec
+from repro.obs import LRUCache, MemoStats, get_tracer
 from repro.tiling.schedule import Schedule
 
 __all__ = [
     "OperatorModule",
     "GraphExecutorFactoryModule",
     "compile_schedule",
-    "KernelCacheStats",
     "kernel_cache_stats",
-    "clear_kernel_cache",
 ]
 
 
@@ -136,15 +134,6 @@ class OperatorModule:
         return self.kernel.name
 
 
-@dataclass
-class KernelCacheStats:
-    """Counters of the in-process compiled-kernel memo."""
-
-    hits: int = 0
-    misses: int = 0
-    entries: int = 0
-
-
 #: Process-wide memo of compiled modules, keyed by the same content
 #: signature the schedule cache uses (chain structure + GPU + tiling
 #: decision). Compiling the "same" fused kernel twice — e.g. every
@@ -152,9 +141,7 @@ class KernelCacheStats:
 #: schedule — returns one shared OperatorModule, so its lazily generated
 #: Triton program and PTX are produced once. Bounded LRU: long-lived
 #: processes compiling many shapes must not grow without limit.
-KERNEL_MEMO_CAPACITY = 256
-_KERNEL_MEMO = LRUCache(capacity=KERNEL_MEMO_CAPACITY)
-_KERNEL_STATS = KernelCacheStats()
+_KERNELS = LRUCache("codegen.kernel", capacity=256)
 
 
 def compile_schedule(
@@ -174,8 +161,6 @@ def compile_schedule(
     per backend so a scalar-pinned module is never served to an ``auto``
     caller).
     """
-    from repro.obs import get_tracer
-
     with get_tracer().span("compile.schedule", backend=exec_backend) as span:
         if not memoize:
             span.set(memo="bypass")
@@ -183,34 +168,22 @@ def compile_schedule(
                 schedule=schedule, gpu=gpu, exec_backend=exec_backend
             )
         key = (schedule_signature(schedule, gpu), exec_backend)
-        module = _KERNEL_MEMO.get(key)
+        module = _KERNELS.get(key)
         if module is None:
-            _KERNEL_STATS.misses += 1
             span.set(memo="miss")
             module = OperatorModule(
                 schedule=schedule, gpu=gpu, exec_backend=exec_backend
             )
-            _KERNEL_MEMO.put(key, module)
+            _KERNELS.put(key, module)
         else:
-            _KERNEL_STATS.hits += 1
             span.set(memo="hit")
         return module
 
 
-def kernel_cache_stats() -> KernelCacheStats:
-    """Snapshot of the kernel-memo counters (entries reflects current size)."""
-    return KernelCacheStats(
-        hits=_KERNEL_STATS.hits,
-        misses=_KERNEL_STATS.misses,
-        entries=len(_KERNEL_MEMO),
-    )
-
-
-def clear_kernel_cache() -> None:
-    """Drop all memoized modules and reset the counters."""
-    _KERNEL_MEMO.clear()
-    _KERNEL_STATS.hits = 0
-    _KERNEL_STATS.misses = 0
+def kernel_cache_stats() -> MemoStats:
+    """Snapshot of the kernel memo's counters (``hits``/``misses``/
+    ``entries``/``evictions``)."""
+    return _KERNELS.stats()
 
 
 @dataclass

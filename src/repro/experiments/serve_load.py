@@ -36,9 +36,9 @@ from repro.cache.signature import bucket_dims, bucket_of
 from repro.config import SessionConfig
 from repro.experiments.common import ExperimentResult, print_header
 from repro.gpu.specs import A100, GPUSpec
+from repro.obs import MetricsRegistry
 from repro.search.tuner import outputs_match
 from repro.serving.service import CompileService, ServeResult
-from repro.serving.telemetry import MetricsRegistry
 from repro.workloads import build_workload, serve_mix
 
 __all__ = [

@@ -48,6 +48,7 @@ from repro.ir.ops import (
     Softmax,
     Transpose,
 )
+from repro.obs import get_tracer
 from repro.search.tuning_cost import TuningClock
 from repro.utils import prod
 
@@ -263,8 +264,6 @@ def compile_model(
                 f"was built with dynamic={service.dynamic!r}; bucketing changes "
                 "the service's cache keys and coalescing, so configure it there"
             )
-    from repro.obs import get_tracer
-
     with get_tracer().span(
         "compile.model", model=graph.name, strategy=strategy
     ) as span:
@@ -283,8 +282,6 @@ def _compile_model(graph, gpu, strategy, service, config, span):
     ``compile.model`` root span (``span`` — the no-op singleton when
     tracing is disabled). ``service`` tunes the MBCI sub-graphs of the
     MCFuser strategies."""
-    from repro.obs import get_tracer
-
     seed = config.search.seed
     exec_backend = config.exec.backend
     tracer = get_tracer()

@@ -1,4 +1,4 @@
-"""Observability: span tracing, flight recorder, and exporters.
+"""Observability: span tracing, metrics, memo counters, and exporters.
 
 ``repro.obs`` is the cross-cutting layer every other subsystem reports
 into: the compile service opens a span per request, the tuner per tune
@@ -8,10 +8,9 @@ process-wide tracer returned by :func:`get_tracer`, which defaults to a
 disabled no-op so the instrumentation costs (almost) nothing until
 ``repro trace`` / ``repro serve --trace`` turns it on.
 
-This package is import-light by design: ``tracer`` is pure stdlib, and
-anything that needs the serving package (the metrics hook, the Prometheus
-exporter's registry argument) imports it lazily — codegen modules may
-import ``repro.obs`` freely without creating an import cycle.
+It is also the one home of :class:`MetricsRegistry` (:mod:`.metrics`) and
+of :class:`LRUCache`, the counted memo every cache layer uses
+(:mod:`.memo`). The package is stdlib-only, so any module may import it.
 """
 
 from .export import (
@@ -24,7 +23,8 @@ from .export import (
     trace_coverage,
     validate_chrome_trace,
 )
-from .metrics import get_metrics, reset_metrics, set_metrics
+from .memo import LRUCache, MemoStats, memo_stats, reset_memos
+from .metrics import MetricsRegistry, get_metrics, reset_metrics, set_metrics
 from .tracer import (
     DEFAULT_MAX_SPANS,
     FlightRecorder,
@@ -43,6 +43,9 @@ __all__ = [
     "DEFAULT_MAX_SPANS",
     "TRACE_FILENAME",
     "FlightRecorder",
+    "LRUCache",
+    "MemoStats",
+    "MetricsRegistry",
     "Span",
     "SpanRecord",
     "Tracer",
@@ -53,7 +56,9 @@ __all__ = [
     "get_metrics",
     "get_tracer",
     "load_trace_jsonl",
+    "memo_stats",
     "prometheus_text",
+    "reset_memos",
     "reset_metrics",
     "save_chrome_trace",
     "save_trace_jsonl",

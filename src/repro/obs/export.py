@@ -13,9 +13,8 @@ Three consumers, three formats, one span model:
   the span's host-monotonic clock, rebased to the earliest span so traces
   start near zero.
 * :func:`prometheus_text` — text exposition format (version 0.0.4) over a
-  :class:`~repro.serving.telemetry.MetricsRegistry` *or* a persisted
-  snapshot dict (duck-typed so this module never imports the serving
-  package — the obs layer must stay import-light). Counters become
+  :class:`~repro.obs.metrics.MetricsRegistry` *or* a persisted
+  snapshot dict. Counters become
   ``repro_<name>_total``, gauges plain gauges, histograms Prometheus
   summaries (``quantile``-labelled samples plus ``_sum``/``_count``).
 * :func:`save_trace_jsonl` / :func:`load_trace_jsonl` — structured JSONL
@@ -35,6 +34,7 @@ import math
 import os
 from typing import Iterable
 
+from .metrics import MetricsRegistry
 from .tracer import FlightRecorder, SpanRecord, load_jsonl
 
 __all__ = [
@@ -277,11 +277,10 @@ def prometheus_text(registry_or_snapshot) -> str:
     samples from the shared bounded-window estimator plus exact
     ``_sum``/``_count`` series. Dots in metric names become underscores.
     Accepts either a live ``MetricsRegistry`` (snapshotted atomically) or
-    a dict previously produced by ``MetricsRegistry.snapshot()`` — the
-    registry type is duck-typed so this module stays import-light.
+    a dict previously produced by ``MetricsRegistry.snapshot()``.
     """
     snap = registry_or_snapshot
-    if hasattr(snap, "snapshot"):
+    if isinstance(snap, MetricsRegistry):
         snap = snap.snapshot()
     if not isinstance(snap, dict):
         raise TypeError(

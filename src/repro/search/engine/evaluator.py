@@ -26,6 +26,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Callable, Sequence
 
+from repro.obs import get_tracer
 from repro.search.tuning_cost import COSTS, TuningClock
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -101,8 +102,6 @@ class ParallelEvaluator:
         candidates = list(candidates)
         if not candidates:
             return []
-        from repro.obs import get_tracer
-
         tracer = get_tracer()
         with tracer.span(
             "measure.batch",

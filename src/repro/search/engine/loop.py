@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
+from repro.obs import get_tracer
 from repro.search.engine.evaluator import ParallelEvaluator
 from repro.utils import rng_for
 
@@ -212,8 +213,6 @@ class SearchLoop:
 
     def run(self, strategy: "SearchStrategy") -> SearchResult:
         """Run ``strategy`` to convergence (or budget exhaustion)."""
-        from repro.obs import get_tracer
-
         tracer = get_tracer()
         self.rng = rng_for(*strategy.rng_key(self.space, self.seed))
         strategy.begin(self)

@@ -39,6 +39,7 @@ from repro.gpu.occupancy import SharedMemoryExceeded
 from repro.gpu.simulator import GPUSimulator
 from repro.gpu.specs import GPUSpec, by_name
 from repro.ir.chain import ComputeChain
+from repro.obs import get_tracer
 from repro.search.engine.evaluator import ParallelEvaluator
 from repro.search.engine.loop import SearchLoop, SearchResult
 from repro.search.engine.strategy import make_strategy
@@ -369,8 +370,6 @@ class MCFuserTuner:
 
     def _finalize_report(self, report: TuneReport) -> TuneReport:
         """Resolve the exec-backend breadcrumb and run best-verification."""
-        from repro.obs import get_tracer
-
         with get_tracer().span("tune.finalize", verify=self.verify) as span:
             report.exec_backend = resolve_exec_backend(
                 report.best_schedule, self.exec_backend
@@ -426,8 +425,6 @@ class MCFuserTuner:
         cost. Under ``dynamic="buckets"`` the lookup ladders exact → bucket
         and a miss tunes at the bucket ceiling (see :meth:`_tune_bucketed`).
         """
-        from repro.obs import get_tracer
-
         tracer = get_tracer()
         if not tracer.enabled:
             return self._tune(chain)
@@ -467,16 +464,12 @@ class MCFuserTuner:
         return report
 
     def _cache_lookup(self, chain: ComputeChain) -> "CacheEntry | None":
-        from repro.obs import get_tracer
-
         with get_tracer().span("tune.cache_lookup") as span:
             entry = self.cache.get(chain, self.gpu, self.cache_variant)
             span.set(outcome="hit" if entry is not None else "miss")
             return entry
 
     def _cache_put(self, chain: ComputeChain, report: TuneReport, signature=None):
-        from repro.obs import get_tracer
-
         with get_tracer().span("tune.cache_put"):
             if signature is None:
                 self.cache.put(chain, self.gpu, report)
@@ -540,8 +533,6 @@ class MCFuserTuner:
 
     def _tune_uncached(self, chain: ComputeChain) -> TuneReport:
         """The full stream → prune → search → measure pipeline."""
-        from repro.obs import get_tracer
-
         tracer = get_tracer()
         clock = TuningClock()
         with tracer.span("tune.space", clock=clock, chain=chain.name) as span:

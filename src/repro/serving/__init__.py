@@ -2,8 +2,8 @@
 
 Composes the cache (PR 1) and the parallel search engine (PR 2) into a
 concurrent serving story: signature-first admission, request coalescing,
-a TTL/LRU hot cache tier, priority lanes with load shedding, and a
-telemetry registry. See :mod:`repro.serving.service` for the full design
+a TTL/LRU hot cache tier, and priority lanes with load shedding, all
+counted in a :class:`~repro.obs.metrics.MetricsRegistry`. See :mod:`repro.serving.service` for the full design
 and ``docs/architecture.md`` ("Serving layer") for the diagram.
 """
 
@@ -15,15 +15,6 @@ from repro.serving.service import (
     ServeResult,
     ServeTicket,
     ServiceClosed,
-)
-from repro.serving.telemetry import (
-    SNAPSHOT_FILENAME,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    load_snapshot,
-    save_snapshot,
 )
 from repro.serving.tiers import TIERS, HotTier, TieredCache
 
@@ -38,11 +29,4 @@ __all__ = [
     "ServiceClosed",
     "HotTier",
     "TieredCache",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "SNAPSHOT_FILENAME",
-    "save_snapshot",
-    "load_snapshot",
 ]

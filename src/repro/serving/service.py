@@ -16,7 +16,7 @@ hit. The service composes the pieces the earlier layers provide:
   and a full queue load-sheds (the ticket fails with :class:`QueueFull`
   instead of stalling the caller);
 * **telemetry** — every outcome is counted in a
-  :class:`~repro.serving.telemetry.MetricsRegistry`.
+  :class:`~repro.obs.metrics.MetricsRegistry`.
 
 Request accounting invariant (error-free runs)::
 
@@ -55,6 +55,7 @@ from typing import TYPE_CHECKING, Sequence
 from repro.cache.signature import bucket_dims, bucketed_signature
 from repro.config import SessionConfig
 from repro.gpu.specs import GPUSpec, by_name
+from repro.obs import MetricsRegistry, get_tracer
 from repro.search.tuner import (
     MCFuserTuner,
     TuneReport,
@@ -62,7 +63,6 @@ from repro.search.tuner import (
     rebind_report,
     report_from_entry,
 )
-from repro.serving.telemetry import MetricsRegistry
 from repro.serving.tiers import TieredCache
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -375,8 +375,6 @@ class CompileService:
         variant = job_config.search.variant
         strategy = job_config.search.strategy
         measure_topk = job_config.search.measure_topk
-        from repro.obs import get_tracer
-
         # The admission span covers the submit call itself (signature,
         # lookup ladder, queue/coalesce/shed decision); a queued tune
         # continues this trace on the worker thread via ``_Job.trace_parent``.
@@ -628,8 +626,6 @@ class CompileService:
         return report
 
     def _run_job(self, job: _Job) -> None:
-        from repro.obs import get_tracer
-
         # Worker threads have no ambient span stack; the explicit parent
         # keeps the queued tune on the admitting request's trace.
         with get_tracer().span(

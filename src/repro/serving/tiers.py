@@ -12,22 +12,18 @@ LRU size eviction. Lookups resolve::
 
 and every resolution is labelled with the tier that served it
 (``"hot"`` / ``"memory"`` / ``"disk"`` / ``None``), which is what feeds
-the per-tier hit counters in the telemetry registry and the
+the per-tier hit counters in the metrics registry and the
 ``repro cache stats`` tier breakdown.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import OrderedDict
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from repro.cache.cache import ScheduleCache
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.cache.store import CacheEntry
-    from repro.serving.telemetry import MetricsRegistry
+from repro.cache.store import CacheEntry
+from repro.obs import LRUCache, MetricsRegistry
 
 __all__ = ["HotTier", "TieredCache", "TIERS"]
 
@@ -37,6 +33,9 @@ TIERS = ("hot", "memory", "disk")
 
 class HotTier:
     """Thread-safe in-memory map with TTL expiry and LRU size eviction.
+
+    TTL expiry over an :class:`~repro.obs.memo.LRUCache` of
+    ``signature -> (entry, inserted_at)``, which owns recency and counters.
 
     Args:
         capacity: Maximum live entries (0 disables the tier).
@@ -52,71 +51,59 @@ class HotTier:
         ttl: float | None = 300.0,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if capacity < 0:
-            raise ValueError(f"hot-tier capacity must be >= 0, got {capacity}")
         if ttl is not None and ttl <= 0:
             raise ValueError(f"hot-tier ttl must be > 0 or None, got {ttl}")
+        self._memo = LRUCache("serve.hot", capacity=capacity)
         self.capacity = capacity
         self.ttl = ttl
         self._clock = clock
-        self._lock = threading.Lock()
-        #: signature -> (entry, inserted_at); order = LRU recency.
-        self._entries: "OrderedDict[str, tuple[CacheEntry, float]]" = OrderedDict()
-        self.evictions = 0
         self.expirations = 0
+
+    @property
+    def evictions(self) -> int:
+        return self._memo.evictions
 
     def _expired(self, inserted_at: float) -> bool:
         return self.ttl is not None and self._clock() - inserted_at > self.ttl
 
-    def get(self, signature: str) -> "CacheEntry | None":
-        with self._lock:
-            item = self._entries.get(signature)
-            if item is None:
-                return None
-            entry, inserted_at = item
-            if self._expired(inserted_at):
-                del self._entries[signature]
+    def get(self, signature: str) -> CacheEntry | None:
+        with self._memo.lock:
+            item = self._memo.peek(signature)
+            if item is not None and self._expired(item[1]):
+                self._memo.pop(signature)
                 self.expirations += 1
-                return None
-            self._entries.move_to_end(signature)
-            return entry
+            item = self._memo.get(signature)
+        return None if item is None else item[0]
 
-    def put(self, signature: str, entry: "CacheEntry") -> None:
-        if self.capacity == 0:
-            return
-        with self._lock:
-            self._entries[signature] = (entry, self._clock())
-            self._entries.move_to_end(signature)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
+    def put(self, signature: str, entry: CacheEntry) -> None:
+        self._memo.put(signature, (entry, self._clock()))
 
     def purge(self) -> int:
         """Drop every expired entry; returns how many were dropped."""
-        with self._lock:
+        with self._memo.lock:
             stale = [
                 sig
-                for sig, (_, inserted_at) in self._entries.items()
+                for sig, (_, inserted_at) in self._memo.items()
                 if self._expired(inserted_at)
             ]
             for sig in stale:
-                del self._entries[sig]
+                self._memo.pop(sig)
             self.expirations += len(stale)
             return len(stale)
 
     def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
+        """Drop every entry and zero the eviction/expiration counters."""
+        with self._memo.lock:
+            self._memo.clear()
+            self.expirations = 0
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._memo)
 
     def __contains__(self, signature: str) -> bool:
         # contact-free check (no recency refresh, but expiry still applies)
-        with self._lock:
-            item = self._entries.get(signature)
-            return item is not None and not self._expired(item[1])
+        item = self._memo.peek(signature)
+        return item is not None and not self._expired(item[1])
 
 
 class TieredCache:
@@ -126,7 +113,7 @@ class TieredCache:
         cache: The persistent (or memory-only) schedule cache underneath;
             ``None`` builds a memory-only one.
         capacity/ttl/clock: Hot-tier knobs (see :class:`HotTier`).
-        telemetry: Optional :class:`~repro.serving.telemetry.MetricsRegistry`;
+        telemetry: Optional :class:`~repro.obs.metrics.MetricsRegistry`;
             when present every lookup increments ``serve.cache.hits.<tier>``
             or ``serve.cache.misses``.
     """
@@ -136,7 +123,7 @@ class TieredCache:
         cache: ScheduleCache | None = None,
         capacity: int = 256,
         ttl: float | None = 300.0,
-        telemetry: "MetricsRegistry | None" = None,
+        telemetry: MetricsRegistry | None = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.cache = cache if cache is not None else ScheduleCache(path=None)
@@ -158,7 +145,7 @@ class TieredCache:
 
     # -- lookup / store ------------------------------------------------------
 
-    def lookup(self, signature: str) -> "tuple[CacheEntry | None, str | None]":
+    def lookup(self, signature: str) -> tuple[CacheEntry | None, str | None]:
         """Resolve a precomputed signature; returns ``(entry, tier)``.
 
         A hot hit never touches the underlying cache (no disk flush, no
@@ -178,7 +165,7 @@ class TieredCache:
         """Chain-level lookup (see :meth:`lookup`); returns ``(entry, tier)``."""
         return self.lookup(self.signature_for(chain, gpu, variant))
 
-    def put(self, chain, gpu, report, signature: str | None = None) -> "CacheEntry | None":
+    def put(self, chain, gpu, report, signature: str | None = None) -> CacheEntry | None:
         """Write-through store: persistent cache first, then the hot tier.
 
         ``signature`` overrides the exact workload key (bucketed entries
@@ -189,7 +176,7 @@ class TieredCache:
             self.hot.put(entry.signature, entry)
         return entry
 
-    def schedule_for(self, entry: "CacheEntry", chain):
+    def schedule_for(self, entry: CacheEntry, chain):
         return self.cache.schedule_for(entry, chain)
 
     # -- maintenance ---------------------------------------------------------

@@ -8,7 +8,7 @@ for, created lazily and shared across everything the session runs:
   ``config.cache.enabled``),
 * the persistent :class:`~repro.search.cost_model.LearnedCostModel` +
   measurement dataset (when the config asks for cost-model guidance),
-* a :class:`~repro.serving.telemetry.MetricsRegistry`,
+* a :class:`~repro.obs.metrics.MetricsRegistry`,
 * the process tracer (enabled when ``config.obs.trace``),
 * and, on first use, a :class:`~repro.serving.service.CompileService`.
 
@@ -39,6 +39,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.config import SessionConfig
 from repro.gpu.specs import GPUSpec, by_name
+from repro.obs import MetricsRegistry, enable_tracing, get_tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cache.cache import ScheduleCache
@@ -47,7 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.search.cost_model import LearnedCostModel
     from repro.search.tuner import MCFuserTuner, TuneReport
     from repro.serving.service import CompileService
-    from repro.serving.telemetry import MetricsRegistry
 
 __all__ = ["BatchResult", "Session"]
 
@@ -91,9 +91,9 @@ class Session:
             descriptions; ``None`` resolves the registered spec named by
             ``config.gpu``.
 
-    Every resource is created lazily on first access and cached on the
-    session, so a ``Session`` is cheap to construct and only pays for what
-    the caller actually touches. Resources are *owned* singletons: every
+    Every heavy resource is created lazily on first access and cached on
+    the session, so a ``Session`` is cheap to construct and only pays for
+    what the caller actually touches. Resources are *owned* singletons: every
     tuner the session hands out and its compile service (which runs
     :meth:`tune_all` and :meth:`compile`) share the same cache, cost
     model, and metrics registry — that sharing is the point of having a
@@ -111,11 +111,10 @@ class Session:
         self.gpu = gpu if gpu is not None else by_name(self.config.gpu)
         self._cache = _LAZY
         self._cost_model = _LAZY
-        self._metrics = _LAZY
+        #: The session's metrics registry (shared with its service).
+        self.metrics = MetricsRegistry()
         self._service: "CompileService | None" = None
         if self.config.obs.trace:
-            from repro.obs import enable_tracing
-
             enable_tracing()
 
     # -- owned resources ------------------------------------------------------
@@ -165,20 +164,9 @@ class Session:
         return self._cost_model
 
     @property
-    def metrics(self) -> "MetricsRegistry":
-        """The session's metrics registry (shared with its service)."""
-        if self._metrics is _LAZY:
-            from repro.serving.telemetry import MetricsRegistry
-
-            self._metrics = MetricsRegistry()
-        return self._metrics
-
-    @property
     def tracer(self):
         """The process tracer (a no-op tracer unless ``obs.trace`` or a
         caller enabled tracing)."""
-        from repro.obs import get_tracer
-
         return get_tracer()
 
     @property

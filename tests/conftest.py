@@ -14,13 +14,12 @@ from repro.search import MCFuserTuner
 def _isolated_schedule_cache(tmp_path, monkeypatch):
     """Point the default schedule-cache directory at a per-test temp dir so
     tests (CLI tests in particular) never touch ~/.cache or each other, and
-    reset the process-wide compiled-kernel memo, tracer, and obs metrics
-    registry between tests."""
-    from repro.codegen import clear_kernel_cache
-    from repro.obs import disable_tracing, reset_metrics
+    reset every registered memo (entries and counters), the tracer, and the
+    obs metrics registry between tests."""
+    from repro.obs import disable_tracing, reset_memos, reset_metrics
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "schedule-cache"))
-    clear_kernel_cache()
+    reset_memos()
     reset_metrics()
     disable_tracing()
     yield

@@ -214,7 +214,7 @@ class TestTypedFailures:
         monkeypatch.setattr(render_c, "MAX_ARENA_BYTES", 1024)
         # The render memo would short-circuit past the patched cap if this
         # program was already rendered; give the check a cold cache.
-        monkeypatch.setattr(render_c, "_RENDER_MEMO", {})
+        render_c._RENDERED.clear()
         _, program = _program(name="cache-arena")
         with pytest.raises(RenderError, match="arena"):
             render_program(program)

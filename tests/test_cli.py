@@ -192,6 +192,16 @@ class TestTraceCommand:
         out = capsys.readouterr().out
         assert "root-span coverage" in out
         assert "chrome trace written" in out
+        memo_rows = {
+            line.split()[0]: line.split()[1:]
+            for line in out.splitlines()
+            if line.startswith(("memo ", "codegen.", "cache."))
+        }
+        assert memo_rows["memo"] == [
+            "entries/capacity", "hits", "misses", "evictions"
+        ]
+        for memo in ("codegen.lower", "codegen.render", "codegen.kernel"):
+            assert memo in memo_rows
         import json
 
         from repro.obs import validate_chrome_trace

@@ -1,6 +1,6 @@
 """Tests for the learned cost-model subsystem: the shared feature
 extractor, the measurement dataset, the residual model, the SearchLoop's
-top-k mode, cache-key hygiene, serving telemetry, and the CLI verbs."""
+top-k mode, cache-key hygiene, service metrics, and the CLI verbs."""
 
 import json
 

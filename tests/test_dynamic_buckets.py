@@ -26,7 +26,8 @@ from repro.config import SessionConfig
 from repro.gpu.specs import A100, RTX3080
 from repro.ir.chain import attention_chain, gemm_chain
 from repro.search.tuner import MCFuserTuner, VerificationError, rebind_report
-from repro.serving import CompileService, MetricsRegistry, TieredCache
+from repro.obs import MetricsRegistry
+from repro.serving import CompileService, TieredCache
 
 QUICK = dict(population_size=64, top_n=4, max_rounds=2, min_rounds=1)
 

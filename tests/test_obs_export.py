@@ -17,7 +17,7 @@ from repro.obs import (
     trace_coverage,
     validate_chrome_trace,
 )
-from repro.serving.telemetry import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
 
 def _sample_tracer() -> Tracer:

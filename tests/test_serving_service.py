@@ -14,14 +14,9 @@ from repro.gpu.specs import A100, RTX3080
 from repro.ir.chain import gemm_chain
 from repro.ir.graph import Graph
 from repro.ir.ops import BatchMatmul, Softmax
+from repro.obs import MetricsRegistry
 from repro.search.tuner import MCFuserTuner, VerificationError
-from repro.serving import (
-    CompileService,
-    MetricsRegistry,
-    QueueFull,
-    ServiceClosed,
-    TieredCache,
-)
+from repro.serving import CompileService, QueueFull, ServiceClosed
 
 QUICK = dict(population_size=64, top_n=4, max_rounds=2, min_rounds=1)
 

@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from repro.serving.telemetry import (
+from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
@@ -186,33 +186,33 @@ class TestSnapshotPersistence:
 
 class TestLabeled:
     def test_joins_parts_with_dots(self):
-        from repro.serving.telemetry import labeled
+        from repro.obs.metrics import labeled
 
         assert labeled("exec.fallback", "compiled", "no-compiler") == (
             "exec.fallback.compiled.no-compiler"
         )
 
     def test_sanitizes_dotted_parts(self):
-        from repro.serving.telemetry import labeled
+        from repro.obs.metrics import labeled
 
         # a part containing dots must not fabricate extra name segments
         assert labeled("serve.hits", "a.b") == "serve.hits.a-b"
 
     def test_skips_empty_parts(self):
-        from repro.serving.telemetry import labeled
+        from repro.obs.metrics import labeled
 
         assert labeled("base", "", "x") == "base.x"
         assert labeled("base") == "base"
 
     def test_coerces_non_strings(self):
-        from repro.serving.telemetry import labeled
+        from repro.obs.metrics import labeled
 
         assert labeled("bucket", 128) == "bucket.128"
 
 
 class TestSharedPercentiles:
     def test_summary_matches_histogram_snapshot(self):
-        from repro.serving.telemetry import PERCENTILES, percentile_summary
+        from repro.obs.metrics import PERCENTILES, percentile_summary
 
         values = [float(i) for i in range(1, 101)]
         summary = percentile_summary(values)
@@ -226,7 +226,7 @@ class TestSharedPercentiles:
     def test_empty_summary_is_none(self):
         # None (not NaN) so snapshots stay plain-JSON serializable; the
         # Prometheus exporter renders missing quantiles as NaN samples.
-        from repro.serving.telemetry import PERCENTILES, percentile_summary
+        from repro.obs.metrics import PERCENTILES, percentile_summary
 
         summary = percentile_summary([])
         for key, _ in PERCENTILES:

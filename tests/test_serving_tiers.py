@@ -8,7 +8,7 @@ from repro.config import SessionConfig
 from repro.gpu.specs import A100
 from repro.ir.chain import gemm_chain
 from repro.search.tuner import MCFuserTuner
-from repro.serving.telemetry import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.serving.tiers import HotTier, TieredCache
 
 QUICK = dict(population_size=64, top_n=4, max_rounds=2, min_rounds=1)
