@@ -70,14 +70,13 @@ class CompilerNotFoundError(CompileError):
     """No C compiler is available on this machine."""
 
 
-def find_compiler() -> str | None:
-    """Path of the C compiler to use, or ``None``.
+#: ``($REPRO_CC, $PATH)`` -> compiler path, or :data:`_NO_COMPILER`.
+_COMPILERS = LRUCache("clang.compiler", capacity=8)
+#: Stored for "no compiler found" (the memo cannot store ``None``).
+_NO_COMPILER = ""
 
-    ``$REPRO_CC`` wins when set (and must resolve — a broken override is a
-    configuration error worth surfacing, not silently falling through);
-    otherwise the first of ``clang``, ``cc``, ``gcc`` on ``PATH``.
-    """
-    override = os.environ.get("REPRO_CC")
+
+def _discover_compiler(override: str | None) -> str | None:
     if override:
         return shutil.which(override)
     for name in ("clang", "cc", "gcc"):
@@ -85,6 +84,22 @@ def find_compiler() -> str | None:
         if path:
             return path
     return None
+
+
+def find_compiler() -> str | None:
+    """Path of the C compiler to use, or ``None``.
+
+    ``$REPRO_CC`` wins when set (and must resolve — a broken override is a
+    configuration error worth surfacing, not silently falling through);
+    otherwise the first of ``clang``, ``cc``, ``gcc`` on ``PATH``. The
+    answer is memoized per ``($REPRO_CC, $PATH)``.
+    """
+    override = os.environ.get("REPRO_CC")
+    path = _COMPILERS.get_or_compute(
+        (override, os.environ.get("PATH")),
+        lambda: _discover_compiler(override) or _NO_COMPILER,
+    )
+    return path or None
 
 
 def compiler_available() -> bool:

@@ -27,7 +27,7 @@ import numpy as np
 from repro.ir.chain import ComputeBlock, ComputeChain
 from repro.obs import get_metrics, get_tracer
 from repro.obs.metrics import labeled
-from repro.tiling.schedule import LoopScope, Schedule, Statement
+from repro.tiling.schedule import LoopScope, Schedule, Statement, build_schedule
 from repro.utils import prod
 
 __all__ = [
@@ -410,6 +410,10 @@ def execute_schedule(
       lowers; else scalar (the default; all backends are differentially
       tested to agree within fp32 tolerance).
 
+    A batch whose flat program would exceed the gather cap
+    (:func:`~repro.codegen.program.batch_slice`) runs on the non-scalar
+    backends as consecutive batch slices that each fit.
+
     Returns a dict with every chain *output* tensor (normally one). Raises
     :class:`InterpreterError` for schedules the pruning rules should have
     rejected (invalid orders, multi-copy buffers).
@@ -433,13 +437,53 @@ class _LastResolved(threading.local):
 _LAST_RESOLVED = _LastResolved()
 
 
+def _rebatched(schedule: Schedule, batch: int) -> Schedule:
+    """``schedule``'s tiling decision on its chain with another batch size."""
+    chain = schedule.chain
+    part = ComputeChain(
+        chain.name, chain.loops, chain.blocks, chain.tensors,
+        batch=batch, dtype=chain.dtype,
+    )
+    return build_schedule(part, schedule.expr, dict(schedule.tiles), optimize=schedule.optimized)
+
+
+def _slice_view(schedule: Schedule) -> Schedule:
+    """The schedule a non-scalar backend lowers: one batch slice when the
+    whole batch is over the gather cap (see :func:`_execute_sliced`)."""
+    from repro.codegen.program import batch_slice
+
+    size = batch_slice(schedule)
+    return _rebatched(schedule, size) if 0 < size < schedule.chain.batch else schedule
+
+
+def _execute_sliced(
+    schedule: Schedule, inputs: dict[str, np.ndarray], backend: str, size: int
+) -> dict[str, np.ndarray]:
+    """Execute the batch as consecutive slices of at most ``size`` elements.
+
+    Batch elements never interact, so the stacked slice outputs are the
+    whole-batch result, and each slice lowers under the gather cap.
+    """
+    chain = schedule.chain
+    parts = []
+    for lo in range(0, chain.batch, size):
+        n = min(size, chain.batch - lo)
+        sliced = {name: np.asarray(inputs[name])[lo:lo + n] for name in chain.input_names()}
+        parts.append(_execute(_rebatched(schedule, n), sliced, backend))
+    return {name: np.concatenate([p[name] for p in parts]) for name in parts[0]}
+
+
 def _execute(
     schedule: Schedule, inputs: dict[str, np.ndarray], backend: str
 ) -> dict[str, np.ndarray]:
     validate_exec_backend(backend)
     _LAST_RESOLVED.value = None
     if backend != "scalar":
-        from repro.codegen.program import try_lower
+        from repro.codegen.program import batch_slice, try_lower
+
+        size = batch_slice(schedule)
+        if 0 < size < schedule.chain.batch:
+            return _execute_sliced(schedule, inputs, backend, size)
         from repro.codegen.vectorized import execute_program
 
         program = try_lower(schedule, backend)
@@ -536,6 +580,8 @@ def resolve_exec_backend(schedule: Schedule, backend: str = "auto") -> str:
         return "scalar"
     from repro.codegen.program import lower_schedule, schedule_lowerable
 
+    schedule = _slice_view(schedule)
+
     if schedule_lowerable(schedule):
         if backend == "vectorized":
             return "vectorized"
@@ -579,6 +625,8 @@ def explain_exec_backend(schedule: Schedule, backend: str = "auto") -> dict:
         out["resolved"] = "scalar"
         return out
     from repro.codegen.program import schedule_lowerable
+
+    schedule = _slice_view(schedule)
 
     if not schedule_lowerable(schedule):
         if backend == "auto":

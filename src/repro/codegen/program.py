@@ -36,10 +36,10 @@ from dataclasses import dataclass, replace
 from repro.codegen.interpreter import InterpreterError
 from repro.obs import LRUCache, get_tracer
 from repro.tiling.schedule import LoopScope, Schedule, Statement
-from repro.utils import prod
+from repro.utils import ceil_div, prod
 
 __all__ = ["TileOp", "TileProgram", "LoweringError", "lower_schedule",
-           "try_lower", "schedule_lowerable",
+           "try_lower", "schedule_lowerable", "batch_slice",
            "MAX_PROGRAM_OPS", "MAX_GATHER_BYTES"]
 
 #: Unrolled-program size cap. The flat program has one op per residual
@@ -181,15 +181,10 @@ def _lower_uncached(
     schedule.check_valid()
     _check_expressible(schedule)
     grid_loops = tuple(schedule.grid_dims)
-    n_cells = int(prod(extent for _, extent in grid_loops))
-
-    widest = max(
-        (schedule.tile_elements(stmt.related) for stmt in schedule.statements()),
-        default=1,
-    )
-    if n_cells * widest * 4 > max_gather_bytes:
+    working_set = _working_set(schedule)
+    if working_set > max_gather_bytes:
         raise LoweringError(
-            f"batched working set ~{n_cells * widest * 4} bytes exceeds the "
+            f"batched working set ~{working_set} bytes exceeds the "
             f"{max_gather_bytes}-byte gather cap for {schedule.describe()}"
         )
 
@@ -215,6 +210,33 @@ def _lower_uncached(
 
     walk(schedule.root, {})
     return TileProgram(schedule=schedule, ops=tuple(ops), grid_loops=grid_loops)
+
+
+def _working_set(schedule: Schedule) -> int:
+    """Bytes of the widest fp32 gather or accumulator, batched over all cells."""
+    widest = max(
+        (schedule.tile_elements(stmt.related) for stmt in schedule.statements()),
+        default=1,
+    )
+    return schedule.grid_size * widest * 4
+
+
+def batch_slice(schedule: Schedule) -> int:
+    """Batch elements per slice for which lowering stays under the gather cap.
+
+    ``chain.batch`` when the whole batch fits and 0 when not even one batch
+    element does; otherwise the size of equal slices (the last may be one
+    smaller) that each fit. Batch elements never interact, so
+    :func:`~repro.codegen.interpreter.execute_schedule` runs an over-cap
+    batch slice by slice instead of failing to lower it.
+    """
+    batch = schedule.chain.batch
+    fit = MAX_GATHER_BYTES // (_working_set(schedule) // batch)
+    if fit >= batch:
+        return batch
+    if fit == 0:
+        return 0
+    return ceil_div(batch, ceil_div(batch, fit))
 
 
 def try_lower(schedule: Schedule, backend: str = "auto") -> TileProgram | None:

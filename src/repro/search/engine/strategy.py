@@ -68,7 +68,8 @@ def mutate_candidate(
             continue
         tiles = cand.tile_dict
         idx = options.index(tiles[loop]) if tiles[loop] in options else 0
-        step = int(rng.choice((-1, 1)))
+        # The same draw as rng.choice((-1, 1)), without its array set-up.
+        step = (-1, 1)[int(rng.integers(2))]
         new_idx = min(max(idx + step, 0), len(options) - 1)
         if new_idx == idx:
             continue

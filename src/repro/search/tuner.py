@@ -545,10 +545,16 @@ class MCFuserTuner:
 
         # Schedules were built once inside the streaming pipeline;
         # space.schedule_for serves that construction for both the model
-        # and the measurement path.
+        # and the measurement path. Every call is billed (and counted by
+        # the loop), but each candidate is evaluated once per search.
+        estimates: dict[tuple, float] = {}
+
         def estimate_fn(cand: Candidate) -> float:
             clock.charge("model_estimate")
-            return model(space.schedule_for(cand, optimize=optimize))
+            t = estimates.get(cand.key)
+            if t is None:
+                t = estimates[cand.key] = model(space.schedule_for(cand, optimize=optimize))
+            return t
 
         def raw_measure(cand: Candidate) -> float:
             return self.measure_schedule(space.schedule_for(cand, optimize=optimize))

@@ -94,6 +94,10 @@ class TilingExpr:
 
     def loops(self) -> tuple[str, ...]:
         """All loop names in pre-order."""
+        return self._loops
+
+    @cached_property
+    def _loops(self) -> tuple[str, ...]:
         out: list[str] = []
 
         def walk(node: LoopNest) -> None:
@@ -218,6 +222,10 @@ class TilingExpr:
 
     def render(self) -> str:
         """Textual form; multi-root forests render as ``(a,b)``."""
+        return self._rendered
+
+    @cached_property
+    def _rendered(self) -> str:
         if not self.roots:
             return ""
         if len(self.roots) == 1:

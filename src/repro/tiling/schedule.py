@@ -19,17 +19,29 @@ schedule: statement trip counts, DRAM traffic, FLOPs, the shared-memory
 tile buffers (estimate vs measured), live-copy multiplicities (Rule 2), and
 semantic validity (a consumer must never observe a partially-reduced
 producer tile).
+
+Construction is split in two. Everything that depends only on the chain's
+structure, the expression, ``optimize`` and the set of extent-1 loops —
+grid binding, the residual expression, statement homes and order, trip
+loops, validity, live-copy and buffer structure — is a
+:class:`ScheduleSkeleton`, built once and held in the bounded
+``tiling.skeleton`` memo. :func:`build_schedule` looks the skeleton up and
+binds extents and tile sizes into it; the bound :class:`Schedule` is
+immutable and computes its work totals and tile buffers at most once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping, Union
 
 from repro.gpu.kernel import KernelLaunch
-from repro.gpu.memory import TileBuffer, estimate_shared_memory, measure_shared_memory
+from repro.gpu.memory import TileBuffer, measure_shared_memory
 from repro.gpu.specs import GPUSpec
-from repro.ir.chain import ComputeBlock, ComputeChain
+from repro.ir.chain import ComputeChain
+from repro.obs import LRUCache
 from repro.tiling.enumeration import bindable_spatial_loops
 from repro.tiling.expr import LoopNest, TilingExpr
 from repro.utils import ceil_div, prod
@@ -38,6 +50,7 @@ __all__ = [
     "Statement",
     "LoopScope",
     "Schedule",
+    "ScheduleSkeleton",
     "build_schedule",
     "InvalidScheduleError",
 ]
@@ -91,7 +104,7 @@ class LoopScope:
 def _homes(
     chain: ComputeChain,
     residual: TilingExpr,
-    extents: dict[str, int],
+    ones: frozenset[str],
 ) -> dict[tuple[str, str, str], str | None]:
     """Assign every statement its home loop on the residual expression."""
     homes: dict[tuple[str, str, str], str | None] = {}
@@ -110,7 +123,7 @@ def _homes(
         out = block.output
         if chain.tensors[out].role == "output":
             live_red = {
-                r for r in block.reduction if r in present and extents.get(r, 1) > 1
+                r for r in block.reduction if r in present and r not in ones
             }
             eligible = set()
             for d in chain.tensors[out].dims:
@@ -126,13 +139,16 @@ def _homes(
 def _build_tree(
     chain: ComputeChain,
     residual: TilingExpr,
-    extents: dict[str, int],
     homes: dict[tuple[str, str, str], str | None],
 ) -> LoopScope:
-    """Build the scheduled loop tree with dependency-respecting ordering."""
+    """Build the scheduled loop tree with dependency-respecting ordering.
+
+    Placement does not depend on extents, so every scope is built with
+    extent 0; :func:`_freeze` keeps only the structure.
+    """
 
     def make_scope(node: LoopNest) -> LoopScope:
-        scope = LoopScope(loop=node.loop, extent=extents[node.loop])
+        scope = LoopScope(loop=node.loop, extent=0)
         scope.body = [make_scope(child) for child in node.body]
         _insert_statements(scope)
         return scope
@@ -219,75 +235,252 @@ def _build_tree(
     return root
 
 
+#: A frozen scope body: statements and ``(loop, body)`` sub-scopes in
+#: execution order.
+_Body = tuple[Union[Statement, "tuple[str, _Body]"], ...]
+
+
+def _freeze(scope: LoopScope) -> _Body:
+    return tuple(
+        item if isinstance(item, Statement) else (item.loop, _freeze(item))
+        for item in scope.body
+    )
+
+
+def _bind(body: _Body, extents: Mapping[str, int]) -> list["LoopScope | Statement"]:
+    return [
+        item
+        if isinstance(item, Statement)
+        else LoopScope(loop=item[0], extent=extents[item[0]], body=_bind(item[1], extents))
+        for item in body
+    ]
+
+
+def _flatten(body: _Body) -> list[Statement]:
+    out: list[Statement] = []
+    for item in body:
+        if isinstance(item, Statement):
+            out.append(item)
+        else:
+            out.extend(_flatten(item[1]))
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class ScheduleSkeleton:
+    """The tile-independent part of a schedule.
+
+    One skeleton serves every tiling of a (chain structure, expression,
+    ``optimize``, set of extent-1 loops) key: which loops are extent 1
+    decides which loops the DAG optimization removes and which reductions
+    are unfinished, and nothing else about the placement depends on tile
+    sizes. A skeleton holds no chain and no extents.
+
+    Attributes:
+        bound: Loops bound to the grid, in the chain's loop order.
+        residual: The per-block expression after binding (and, with
+            ``optimize``, after removing extent-1 loops).
+        body: The root scope's frozen statement/loop tree.
+        statements: Every statement in program order.
+        paths: Statement home -> the residual loops whose extents multiply
+            its trip count (its ancestors and itself; ``()`` at the grid).
+        below: Home -> the residual loops nested strictly inside it.
+        live: Produced tensor -> the loops whose extents multiply its live
+            partial-tile copies (Rule 2).
+        loads: ``(tensor, dims, double_buffered)`` per load, in program
+            order.
+        staged: ``(tensor, dims, role)`` per on-chip produced tensor.
+        buffer_dims: The dims of each on-chip buffer, one per tensor
+            (the tiles eq. (1) sums).
+        invalid: Why no execution order is correct, or ``None``.
+    """
+
+    bound: tuple[str, ...]
+    residual: TilingExpr
+    body: _Body
+    statements: tuple[Statement, ...]
+    paths: Mapping[str | None, tuple[str, ...]]
+    below: Mapping[str | None, frozenset[str]]
+    live: Mapping[str, tuple[str, ...]]
+    loads: tuple[tuple[str, tuple[str, ...], bool], ...]
+    staged: tuple[tuple[str, tuple[str, ...], str], ...]
+    buffer_dims: tuple[tuple[str, ...], ...]
+    invalid: str | None
+
+
+def _invalid_reason(
+    chain: ComputeChain,
+    residual: TilingExpr,
+    statements: tuple[Statement, ...],
+    ones: frozenset[str],
+) -> str | None:
+    """Why a consumer would read partial tiles, or ``None``.
+
+    A compute statement homed inside (or at) an unfinished reduction loop
+    of one of its producers would observe a partially accumulated
+    intermediate; no execution order of the schedule is correct.
+    """
+    present = set(residual.loops())
+    compute_home = {s.block: s.home for s in statements if s.kind == "compute"}
+    for block in chain.blocks:
+        home = compute_home.get(block.name)
+        scope_path: set[str] = set()
+        if home is not None:
+            scope_path = set(residual.ancestors(home)) | {home}
+        for tensor in block.inputs:
+            producer = chain.producer_of(tensor)
+            if producer is None:
+                continue
+            for r in producer.reduction:
+                if r in present and r not in ones and r in scope_path:
+                    return (
+                        f"compute {block.name} inside unfinished reduction "
+                        f"loop {r!r} of producer {producer.name}"
+                    )
+    # Producer-before-consumer in program order: a compute whose
+    # producer's compute appears later in the statement walk reads a
+    # tile that does not exist yet (the failure mode the DAG
+    # optimization can create when a producer's loops all collapse).
+    compute_pos = {
+        s.block: i for i, s in enumerate(statements) if s.kind == "compute"
+    }
+    for block in chain.blocks:
+        for tensor in block.inputs:
+            producer = chain.producer_of(tensor)
+            if producer is None:
+                continue
+            if compute_pos[producer.name] > compute_pos[block.name]:
+                return (
+                    f"compute {block.name} precedes its producer "
+                    f"{producer.name} in program order"
+                )
+    return None
+
+
+def _build_skeleton(
+    chain: ComputeChain,
+    expr: TilingExpr,
+    optimize: bool,
+    ones: frozenset[str],
+) -> ScheduleSkeleton:
+    bound = bindable_spatial_loops(chain, expr)
+    residual = expr.without(set(bound))
+    if optimize:
+        residual = residual.without({l for l in residual.loops() if l in ones})
+    body = _freeze(_build_tree(chain, residual, _homes(chain, residual, ones)))
+    statements = tuple(_flatten(body))
+
+    present = residual.loops()
+    paths: dict[str | None, tuple[str, ...]] = {GRID: ()}
+    below: dict[str | None, frozenset[str]] = {GRID: frozenset(present)}
+    for loop in present:
+        paths[loop] = (*residual.ancestors(loop), loop)
+        below[loop] = frozenset(l for l in present if loop in residual.ancestors(l))
+
+    live: dict[str, tuple[str, ...]] = {}
+    for name, ref in chain.tensors.items():
+        producer = chain.producer_of(name)
+        if producer is None:
+            continue
+        live_red = {r for r in producer.reduction if r in present and r not in ones}
+        live[name] = tuple(
+            d for d in ref.dims
+            if d in present and set(residual.ancestors(d)) & live_red
+        )
+
+    loads = tuple(
+        (
+            stmt.tensor,
+            stmt.related,
+            any(
+                r in paths[stmt.home] and r not in ones
+                for r in chain.block(stmt.block).reduction
+            ),
+        )
+        for stmt in statements
+        if stmt.kind == "load"
+    )
+    staged = tuple(
+        (name, ref.dims, "accumulator" if ref.role == "output" else "stage")
+        for name, ref in chain.tensors.items()
+        if ref.role != "input"
+    )
+    return ScheduleSkeleton(
+        bound=bound,
+        residual=residual,
+        body=body,
+        statements=statements,
+        paths=MappingProxyType(paths),
+        below=MappingProxyType(below),
+        live=MappingProxyType(live),
+        loads=loads,
+        staged=staged,
+        buffer_dims=(
+            *{tensor: dims for tensor, dims, _ in loads}.values(),
+            *(dims for _, dims, _ in staged),
+        ),
+        invalid=_invalid_reason(chain, residual, statements, ones),
+    )
+
+
+def _structure_key(chain: ComputeChain) -> tuple:
+    """What a skeleton depends on of a chain: loop names, block dataflow and
+    tensor roles — not loop sizes, batch, dtype or name."""
+    return (
+        chain.loop_names,
+        tuple((b.name, b.inputs, b.output, b.spatial, b.reduction) for b in chain.blocks),
+        tuple((t.name, t.dims, t.role) for t in chain.tensors.values()),
+    )
+
+
+#: (chain structure, expression, optimize, extent-1 loops) -> skeleton.
+#: A cold G2 tune needs a few dozen skeletons; the cap keeps many
+#: distinct chain structures in one process bounded.
+_SKELETONS = LRUCache("tiling.skeleton", capacity=256)
+
+
+@dataclass(frozen=True, eq=False)
 class Schedule:
     """A fully placed tiled program for one (chain, expression, tiles) triple.
 
-    Do not construct directly — use :func:`build_schedule`, which performs
-    grid binding and (optionally) the DAG dead-loop optimization.
+    Do not construct directly — use :func:`build_schedule`, which looks up
+    the skeleton (grid binding and, optionally, the DAG dead-loop
+    optimization) and binds the tile sizes into it. A schedule is
+    immutable: its statements, work totals and tile buffers are computed
+    at most once.
     """
 
-    def __init__(
-        self,
-        chain: ComputeChain,
-        expr: TilingExpr,
-        tiles: dict[str, int],
-        residual: TilingExpr,
-        grid_dims: tuple[tuple[str, int], ...],
-        root: LoopScope,
-        optimized: bool,
-    ) -> None:
-        self.chain = chain
-        self.expr = expr
-        self.tiles = dict(tiles)
-        self.residual = residual
-        self.grid_dims = grid_dims
-        self.root = root
-        self.optimized = optimized
+    chain: ComputeChain
+    expr: TilingExpr
+    tiles: Mapping[str, int]
+    extents: Mapping[str, int]
+    grid_dims: tuple[tuple[str, int], ...]
+    optimized: bool
+    skeleton: ScheduleSkeleton = field(repr=False)
 
     # -- structure queries ---------------------------------------------------
 
-    @cached_property
-    def extents(self) -> dict[str, int]:
-        return {
-            loop: ceil_div(size, self.tiles[loop]) for loop, size in self.chain.loops.items()
-        }
-
     @property
+    def residual(self) -> TilingExpr:
+        return self.skeleton.residual
+
+    @cached_property
+    def root(self) -> LoopScope:
+        """The scheduled loop tree (built on first use)."""
+        return LoopScope(loop=GRID, extent=1, body=_bind(self.skeleton.body, self.extents))
+
+    @cached_property
     def grid_size(self) -> int:
         return int(prod(extent for _, extent in self.grid_dims))
 
     def statements(self) -> list[Statement]:
-        out: list[Statement] = []
-
-        def walk(scope: LoopScope) -> None:
-            for item in scope.body:
-                if isinstance(item, Statement):
-                    out.append(item)
-                else:
-                    walk(item)
-
-        walk(self.root)
-        return out
-
-    @cached_property
-    def _scope_index(self) -> dict[str | None, LoopScope]:
-        index: dict[str | None, LoopScope] = {GRID: self.root}
-
-        def walk(scope: LoopScope) -> None:
-            for item in scope.body:
-                if isinstance(item, LoopScope):
-                    index[item.loop] = item
-                    walk(item)
-
-        walk(self.root)
-        return index
+        return list(self.skeleton.statements)
 
     def trip_count(self, stmt: Statement) -> int:
         """Executions of one statement across the whole kernel (grid incl.)."""
         trips = self.grid_size
-        if stmt.home is not None:
-            for loop in (*self.residual.ancestors(stmt.home), stmt.home):
-                trips *= self.extents[loop]
+        for loop in self.skeleton.paths[stmt.home]:
+            trips *= self.extents[loop]
         return trips
 
     def tile_elements(self, dims: tuple[str, ...]) -> int:
@@ -303,87 +496,26 @@ class Schedule:
         reduction loop of the tensor's producer multiplies the live tiles
         (the paper's Fig. 6(b) situation, pruned by Rule 2).
         """
-        producer = self.chain.producer_of(tensor)
-        if producer is None:
-            return 1
-        present = set(self.residual.loops())
-        live_red = {
-            r for r in producer.reduction if r in present and self.extents[r] > 1
-        }
-        copies = 1
-        for d in self.chain.tensors[tensor].dims:
-            if d not in present:
-                continue
-            above = set(self.residual.ancestors(d))
-            if above & live_red:
-                copies *= self.extents[d]
-        return copies
+        return int(prod(self.extents[d] for d in self.skeleton.live.get(tensor, ())))
 
     # -- semantic validity ---------------------------------------------------------
 
     def check_valid(self) -> None:
-        """Raise InvalidScheduleError if a consumer would read partial tiles.
-
-        A compute statement homed inside (or at) an unfinished reduction
-        loop of one of its producers would observe a partially accumulated
-        intermediate; no execution order of this schedule is correct.
-        """
-        present = set(self.residual.loops())
-        for block in self.chain.blocks:
-            home = None
-            for stmt in self.statements():
-                if stmt.kind == "compute" and stmt.block == block.name:
-                    home = stmt.home
-            scope_path: set[str] = set()
-            if home is not None:
-                scope_path = set(self.residual.ancestors(home)) | {home}
-            for tensor in block.inputs:
-                producer = self.chain.producer_of(tensor)
-                if producer is None:
-                    continue
-                for r in producer.reduction:
-                    if r in present and self.extents[r] > 1 and r in scope_path:
-                        raise InvalidScheduleError(
-                            f"{self.describe()}: compute {block.name} inside "
-                            f"unfinished reduction loop {r!r} of producer {producer.name}"
-                        )
-        # Producer-before-consumer in program order: a compute whose
-        # producer's compute appears later in the statement walk reads a
-        # tile that does not exist yet (the failure mode the DAG
-        # optimization can create when a producer's loops all collapse).
-        compute_pos = {
-            s.block: i for i, s in enumerate(self.statements()) if s.kind == "compute"
-        }
-        for block in self.chain.blocks:
-            for tensor in block.inputs:
-                producer = self.chain.producer_of(tensor)
-                if producer is None:
-                    continue
-                if compute_pos[producer.name] > compute_pos[block.name]:
-                    raise InvalidScheduleError(
-                        f"{self.describe()}: compute {block.name} precedes its "
-                        f"producer {producer.name} in program order"
-                    )
+        """Raise InvalidScheduleError if no execution order is correct: a
+        consumer would read a partially reduced producer tile, or a producer
+        runs after its consumer."""
+        if self.skeleton.invalid is not None:
+            raise InvalidScheduleError(f"{self.describe()}: {self.skeleton.invalid}")
 
     @property
     def is_valid(self) -> bool:
-        try:
-            self.check_valid()
-            return True
-        except InvalidScheduleError:
-            return False
+        return self.skeleton.invalid is None
 
     # -- work accounting -------------------------------------------------------------
 
     def _store_copies_below(self, stmt: Statement) -> int:
         """Tiles written per store execution (dims strictly inside its scope)."""
-        present = set(self.residual.loops())
-        if stmt.home is None:
-            inside = present
-        else:
-            inside = {
-                l for l in present if stmt.home in self.residual.ancestors(l)
-            }
+        inside = self.skeleton.below[stmt.home]
         return int(
             prod(self.extents[d] for d in stmt.related if d in inside) or 1
         )
@@ -409,14 +541,24 @@ class Schedule:
             per_exec += 7.0 * self.tile_elements(first.dims)
         return per_exec * self.trip_count(stmt)
 
+    @cached_property
+    def _work(self) -> tuple[float, float, float]:
+        """(DRAM read bytes, DRAM write bytes, FLOPs) — summed once."""
+        stmts = self.skeleton.statements
+        return (
+            sum(self.statement_bytes(s) for s in stmts if s.kind == "load"),
+            sum(self.statement_bytes(s) for s in stmts if s.kind == "store"),
+            sum(self.statement_flops(s) for s in stmts if s.kind == "compute"),
+        )
+
     def dram_read_bytes(self) -> float:
-        return sum(self.statement_bytes(s) for s in self.statements() if s.kind == "load")
+        return self._work[0]
 
     def dram_write_bytes(self) -> float:
-        return sum(self.statement_bytes(s) for s in self.statements() if s.kind == "store")
+        return self._work[1]
 
     def total_flops(self) -> float:
-        return sum(self.statement_flops(s) for s in self.statements() if s.kind == "compute")
+        return self._work[2]
 
     # -- shared memory --------------------------------------------------------------------
 
@@ -427,50 +569,49 @@ class Schedule:
         rows = int(prod(self.tiles[d] for d in dims[:-1])) if len(dims) > 1 else 1
         return (rows, cols)
 
-    def tile_buffers(self) -> list[TileBuffer]:
-        """On-chip buffers of this schedule, for the shared-memory backend."""
+    @cached_property
+    def _tile_buffers(self) -> tuple[TileBuffer, ...]:
         buffers: dict[str, TileBuffer] = {}
         dtype_bytes = self.chain.dtype_bytes
-        for stmt in self.statements():
-            if stmt.kind != "load":
-                continue
-            consumer = self.chain.block(stmt.block)
-            rows, cols = self._buffer_shape(stmt.related)
-            path: set[str] = set()
-            if stmt.home is not None:
-                path = set(self.residual.ancestors(stmt.home)) | {stmt.home}
-            double = any(
-                r in path and self.extents[r] > 1 for r in consumer.reduction
-            )
+        for tensor, dims, double in self.skeleton.loads:
+            rows, cols = self._buffer_shape(dims)
             buf = TileBuffer(
-                tensor=stmt.tensor,
+                tensor=tensor,
                 rows=rows,
                 cols=cols,
                 dtype_bytes=dtype_bytes,
                 role="operand",
                 double_buffered=double,
             )
-            prev = buffers.get(stmt.tensor)
+            prev = buffers.get(tensor)
             if prev is None or buf.elements * (2 if double else 1) > prev.elements:
-                buffers[stmt.tensor] = buf
-        for name, ref in self.chain.tensors.items():
-            if ref.role == "input":
-                continue
-            rows, cols = self._buffer_shape(ref.dims)
-            role = "accumulator" if ref.role == "output" else "stage"
-            buffers[name] = TileBuffer(
-                tensor=name,
+                buffers[tensor] = buf
+        for tensor, dims, role in self.skeleton.staged:
+            rows, cols = self._buffer_shape(dims)
+            buffers[tensor] = TileBuffer(
+                tensor=tensor,
                 rows=rows,
                 cols=cols,
                 dtype_bytes=dtype_bytes,
                 role=role,
-                copies=self.live_copies(name),
+                copies=self.live_copies(tensor),
             )
-        return [buffers[k] for k in sorted(buffers)]
+        return tuple(buffers[k] for k in sorted(buffers))
+
+    def tile_buffers(self) -> list[TileBuffer]:
+        """On-chip buffers of this schedule, for the shared-memory backend."""
+        return list(self._tile_buffers)
 
     def shm_estimate(self) -> int:
-        """The paper's eq. (1): naive sum of single-tile footprints."""
-        return estimate_shared_memory(self.tile_buffers())
+        """The paper's eq. (1): naive sum of single-tile footprints.
+
+        Equal to ``estimate_shared_memory(self.tile_buffers())`` (each
+        buffer's ``rows * cols`` is its tile's element count), without
+        building the buffers: Rule 4 asks this of every candidate.
+        """
+        return self.chain.dtype_bytes * sum(
+            self.tile_elements(dims) for dims in self.skeleton.buffer_dims
+        )
 
     def shm_measured(self, gpu: GPUSpec) -> int:
         """What the simulated backend actually allocates (Fig. 10's y-axis)."""
@@ -572,6 +713,8 @@ def build_schedule(
     (extent-1 loops are removed and memory statements re-homed upward —
     the paper's §III-B optimization that Chimera and Ansor miss). Pass
     ``False`` to get the baseline placement (rightmost related loop only).
+    The skeleton comes from the ``tiling.skeleton`` memo; only extents and
+    tiles are bound here.
     """
     missing = set(chain.loop_names) - set(tiles)
     if missing:
@@ -579,21 +722,21 @@ def build_schedule(
     for loop, t in tiles.items():
         if t < 1:
             raise ValueError(f"tile for loop {loop!r} must be >= 1, got {t}")
-    bound = bindable_spatial_loops(chain, expr)
-    residual = expr.without(set(bound))
     extents = {loop: ceil_div(size, tiles[loop]) for loop, size in chain.loops.items()}
-    if optimize:
-        dead = {l for l in residual.loops() if extents[l] == 1}
-        residual = residual.without(dead)
-    homes = _homes(chain, residual, extents)
-    root = _build_tree(chain, residual, extents, homes)
-    grid_dims = (("b", chain.batch), *[(l, extents[l]) for l in bound])
+    ones = frozenset(loop for loop, e in extents.items() if e == 1)
+    # render() plus the pre-order loop names identify an expression
+    # exactly, and both are cached strings: cheaper to hash and compare
+    # than the LoopNest tree.
+    skeleton = _SKELETONS.get_or_compute(
+        (_structure_key(chain), expr.render(), expr.loops(), optimize, ones),
+        lambda: _build_skeleton(chain, expr, optimize, ones),
+    )
     return Schedule(
         chain=chain,
         expr=expr,
-        tiles=tiles,
-        residual=residual,
-        grid_dims=grid_dims,
-        root=root,
+        tiles=MappingProxyType(dict(tiles)),
+        extents=MappingProxyType(extents),
+        grid_dims=(("b", chain.batch), *[(l, extents[l]) for l in skeleton.bound]),
         optimized=optimize,
+        skeleton=skeleton,
     )

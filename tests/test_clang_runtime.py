@@ -20,6 +20,7 @@ from repro.codegen.clang_runtime import (
     CompilerNotFoundError,
     compiler_available,
     execute_program_compiled,
+    find_compiler,
 )
 from repro.codegen.program import lower_schedule
 from repro.codegen.render_c import RenderError, render_program
@@ -218,3 +219,21 @@ class TestTypedFailures:
         _, program = _program(name="cache-arena")
         with pytest.raises(RenderError, match="arena"):
             render_program(program)
+
+
+class TestCompilerDiscovery:
+    def test_discovery_is_memoized_per_environment(self, monkeypatch):
+        from repro.codegen.clang_runtime import _COMPILERS
+
+        monkeypatch.delenv("REPRO_CC", raising=False)
+        first = find_compiler()
+        assert find_compiler() == first
+        assert (_COMPILERS.misses, _COMPILERS.hits) == (1, 1)
+        # A changed $REPRO_CC is a new key, and "not found" is memoized too.
+        monkeypatch.setenv("REPRO_CC", "/nonexistent/mcfuser-cc")
+        assert find_compiler() is None
+        assert find_compiler() is None
+        assert (_COMPILERS.misses, _COMPILERS.hits) == (2, 2)
+        monkeypatch.delenv("REPRO_CC")
+        assert find_compiler() == first
+        assert _COMPILERS.misses == 2

@@ -1,5 +1,7 @@
 """Unit tests for the analytical performance model (eqs. 2-5)."""
 
+import dataclasses
+
 import pytest
 
 from repro.gpu.specs import A100
@@ -58,12 +60,13 @@ class TestDegenerateGrid:
 
     def test_zero_block_grid_clamped(self, schedule):
         """Regression: a degenerate schedule reporting a zero-block grid
-        must not hand eq. (5) a ZeroDivisionError mid-search."""
-        schedule.grid_dims = ()  # prod(()) == 1, still fine
-        est = estimate_time(schedule, A100)
+        must not hand eq. (5) a ZeroDivisionError mid-search. Schedules are
+        immutable, so the degenerate grids are forged as copies."""
+        forged = dataclasses.replace(schedule, grid_dims=())  # prod(()) == 1
+        est = estimate_time(forged, A100)
         assert est.alpha == pytest.approx(1 + A100.num_sms)
-        schedule.grid_dims = (("m", 0),)  # the pathological handoff
-        est = estimate_time(schedule, A100)
+        forged = dataclasses.replace(schedule, grid_dims=(("m", 0),))  # the pathological handoff
+        est = estimate_time(forged, A100)
         assert est.alpha == pytest.approx(1 + A100.num_sms)
         assert est.total < float("inf")
 

@@ -18,7 +18,7 @@ from repro.codegen.interpreter import (
     execute_schedule,
     resolve_exec_backend,
 )
-from repro.codegen.program import LoweringError, lower_schedule
+from repro.codegen.program import LoweringError, batch_slice, lower_schedule
 from repro.codegen.runtime import compile_schedule
 from repro.config import SessionConfig
 from repro.gpu.specs import A100
@@ -465,3 +465,54 @@ class TestProgramLowering:
         )
         with pytest.raises(ValueError):
             compile_schedule(schedule, A100, exec_backend="cuda", memoize=False)
+
+
+class TestBatchSlicing:
+    """A batch whose flat program is over the gather cap runs as batch
+    slices on the non-scalar backends instead of failing to lower."""
+
+    @staticmethod
+    def _case():
+        chain = gemm_chain(5, 64, 48, 32, 32, name="sliced")
+        schedule = build_schedule(
+            chain, TilingExpr.parse("mhnk"), {"m": 16, "n": 16, "k": 16, "h": 16}
+        )
+        widest = max(schedule.tile_elements(s.related) for s in schedule.statements())
+        per_element = schedule.grid_size // chain.batch * widest * 4
+        return chain, schedule, per_element
+
+    def test_slice_sizes(self, monkeypatch):
+        import repro.codegen.program as program
+
+        _, schedule, per = self._case()
+        # cap in batch elements -> slice size; 4 fit -> two slices, 3 + 2
+        for fit, size in ((5, 5), (4, 3), (2, 2), (1, 1)):
+            monkeypatch.setattr(program, "MAX_GATHER_BYTES", fit * per)
+            assert batch_slice(schedule) == size
+        monkeypatch.setattr(program, "MAX_GATHER_BYTES", per - 1)
+        assert batch_slice(schedule) == 0  # not even one element fits
+
+    def test_over_cap_batch_runs_in_slices(self, monkeypatch):
+        import repro.codegen.interpreter as interpreter
+        import repro.codegen.program as program
+
+        chain, schedule, per = self._case()
+        inputs = chain.random_inputs(0)
+        whole = execute_schedule(schedule, inputs, backend="vectorized")["E"]
+        monkeypatch.setattr(program, "MAX_GATHER_BYTES", 2 * per)
+        slices = []
+        real = interpreter._rebatched
+
+        def spy(sched, batch):
+            slices.append(batch)
+            return real(sched, batch)
+
+        monkeypatch.setattr(interpreter, "_rebatched", spy)
+        assert resolve_exec_backend(schedule, "vectorized") == "vectorized"
+        slices.clear()
+        sliced = execute_schedule(schedule, inputs, backend="vectorized")["E"]
+        assert slices == [2, 2, 1]
+        np.testing.assert_allclose(sliced, whole, rtol=BACKEND_RTOL, atol=BACKEND_ATOL)
+        np.testing.assert_allclose(
+            sliced, chain.reference(inputs)["E"], rtol=REF_RTOL, atol=REF_ATOL
+        )
